@@ -234,20 +234,6 @@ type Campaign struct {
 	// NoPrune disables representative crash-state pruning — the
 	// cross-check mode: identical bug verdicts, every state checked.
 	NoPrune bool
-	// ScratchStates constructs every crash state from scratch instead of
-	// through the incremental rolling replay cursor — the construction
-	// cross-check mode: identical fingerprints and verdicts, strictly more
-	// replayed writes.
-	ScratchStates bool
-	// NoClassPrune disables enumeration-time class pruning (every state is
-	// constructed even when its fingerprint was already judged) — the
-	// cross-check mode for the pre-construction prune: identical verdicts,
-	// strictly more constructed states.
-	NoClassPrune bool
-	// NoCommutePrune disables commutativity pruning of reorder drop-sets —
-	// the cross-check mode for the enumerator's canonical-form skip:
-	// identical verdicts and reports, strictly more constructed states.
-	NoCommutePrune bool
 	// PruneCap bounds each prune-cache tier in entries (0 = the default
 	// cap, negative = unbounded). Campaigns whose distinct-state count
 	// exceeds the cap evict LRU entries and transparently re-check them.
@@ -334,28 +320,25 @@ func (c Campaign) config() (campaign.Config, error) {
 		label = string(c.Profile)
 	}
 	cfg := campaign.Config{
-		FS:             c.FS,
-		Bounds:         bounds,
-		KV:             kv,
-		Workers:        c.Workers,
-		MaxWorkloads:   c.MaxWorkloads,
-		SampleEvery:    c.SampleEvery,
-		Shard:          c.Shard,
-		NumShards:      c.NumShards,
-		Interrupt:      c.Interrupt,
-		OnProgress:     c.OnProgress,
-		ProgressEvery:  c.ProgressEvery,
-		FinalOnly:      c.FinalOnly,
-		Reorder:        c.Reorder,
-		Faults:         c.Faults,
-		NoPrune:        c.NoPrune,
-		ScratchStates:  c.ScratchStates,
-		NoClassPrune:   c.NoClassPrune,
-		NoCommutePrune: c.NoCommutePrune,
-		PruneCap:       c.PruneCap,
-		CorpusDir:      c.CorpusDir,
-		ProfileLabel:   label,
-		Resume:         c.Resume,
+		FS:            c.FS,
+		Bounds:        bounds,
+		KV:            kv,
+		Workers:       c.Workers,
+		MaxWorkloads:  c.MaxWorkloads,
+		SampleEvery:   c.SampleEvery,
+		Shard:         c.Shard,
+		NumShards:     c.NumShards,
+		Interrupt:     c.Interrupt,
+		OnProgress:    c.OnProgress,
+		ProgressEvery: c.ProgressEvery,
+		FinalOnly:     c.FinalOnly,
+		Reorder:       c.Reorder,
+		Faults:        c.Faults,
+		NoPrune:       c.NoPrune,
+		PruneCap:      c.PruneCap,
+		CorpusDir:     c.CorpusDir,
+		ProfileLabel:  label,
+		Resume:        c.Resume,
 	}
 	if c.DedupKnown {
 		cfg.KnownDBFor = KnownBugDB

@@ -286,7 +286,7 @@ func benchCampaign(b *testing.B, profile b3.ProfileName, sample int64) {
 // enumeration-time class pruning pays most: many drop-states share a
 // predicted fingerprint with an already-judged state, so they are skipped
 // before construction. constructed-states counts the reorder states that
-// were actually built (everything but the class/commute skips).
+// were actually built (everything but the class skips).
 func benchReorderCampaign(b *testing.B, k int) {
 	fs, err := b3.NewFS("logfs", b3.CampaignConfig())
 	if err != nil {
@@ -303,7 +303,7 @@ func benchReorderCampaign(b *testing.B, k int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		skipped := stats.ReorderClassSkipped + stats.ReorderCommuteSkipped
+		skipped := stats.ReorderClassSkipped
 		b.ReportMetric(float64(stats.ReorderStates), "reorder-states")
 		b.ReportMetric(float64(stats.ReorderStates-skipped), "constructed-states")
 		b.ReportMetric(float64(skipped), "states-skipped")
@@ -605,7 +605,7 @@ func BenchmarkAblationReorderExploration(b *testing.B) {
 					}
 					b.ReportMetric(float64(report.States), "reorder-states")
 					b.ReportMetric(float64(report.Checked), "recoveries-run")
-					b.ReportMetric(float64(report.ClassSkipped+report.CommuteSkipped), "states-skipped")
+					b.ReportMetric(float64(report.ClassSkipped), "states-skipped")
 					// Metered construction cost: the epoch-base cache makes
 					// this O(delta) per state instead of O(history).
 					b.ReportMetric(float64(report.ReplayedWrites)/float64(report.States), "replayed-writes/state")

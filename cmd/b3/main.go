@@ -12,14 +12,11 @@
 //	b3 -merge runs/                         # fold completed shards: one report
 //	b3 -profile seq-3-metadata -shard 0/5 -v   # + live progress line with ETA
 //	b3 -profile seq-2 -no-prune             # cross-check: no state pruning
-//	b3 -profile seq-2 -no-class-prune       # cross-check: construct every novel state
-//	b3 -profile seq-2 -reorder 2 -no-commute-prune  # cross-check: no drop-set dedup
 //	b3 -profile seq-2 -cpuprofile cpu.pprof -memprofile mem.pprof  # go tool pprof
 //	b3 -profile seq-1 -fs all -reorder 1    # + bounded-reordering crash states
 //	b3 -profile seq-1 -fs all -faults torn,corrupt,misdirect   # + fault axis
 //	b3 -profile seq-1 -faults torn -sector 1024   # torn sweep at 1 KiB sectors
 //	b3 -profile seq-3-data -prune-cap 65536 # bound the verdict cache
-//	b3 -profile seq-2 -scratch-states       # cross-check: from-scratch states
 //	b3 -profile seq-1 -fs all -v            # + block-IO metering per row
 //	b3 -workload kv -fs all -reorder 1      # application-level KV store + oracle
 //	b3 -profile kv-seq2 -fs all -faults torn,corrupt  # deeper KV space + fault axis
@@ -61,9 +58,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		dedup     = flag.Bool("dedup-known", true, "suppress bug groups matching the known-bug database (§5.3)")
 		noPrune   = flag.Bool("no-prune", false, "disable representative crash-state pruning (cross-check mode: every state checked)")
-		noClass   = flag.Bool("no-class-prune", false, "disable enumeration-time class pruning (cross-check mode: every novel crash state is constructed before the cache is consulted)")
-		noCommute = flag.Bool("no-commute-prune", false, "disable reorder commutativity pruning (cross-check mode: every drop-set constructed, including provably identical ones)")
-		scratch   = flag.Bool("scratch-states", false, "construct every crash state from scratch instead of via the rolling replay cursor (cross-check mode)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file when the run ends (go tool pprof)")
 		verbose   = flag.Bool("v", false, "verbose: print per-FS block-IO metering (writes replayed, blocks read, bytes allocated)")
@@ -135,12 +129,10 @@ func main() {
 	case *findNew:
 		runFindNewBugs(campaignOpts{
 			workers: *workers, sample: *sample,
-			noPrune: *noPrune, noClassPrune: *noClass, noCommutePrune: *noCommute,
-			pruneCap: *pruneCap, finalOnly: *finalOnly,
+			noPrune: *noPrune, pruneCap: *pruneCap, finalOnly: *finalOnly,
 			reorder: *reorder, faults: faultModel,
 			corpusDir: *corpusDir, resume: *resume,
-			scratch: *scratch, verbose: *verbose,
-			shard: shardIdx, numShards: numShards,
+			verbose: *verbose, shard: shardIdx, numShards: numShards,
 		})
 	case *reproduce:
 		runReproduce()
@@ -148,12 +140,10 @@ func main() {
 		runProfile(profileRun{
 			campaignOpts: campaignOpts{
 				workers: *workers, sample: *sample,
-				noPrune: *noPrune, noClassPrune: *noClass, noCommutePrune: *noCommute,
-				pruneCap: *pruneCap, finalOnly: *finalOnly,
+				noPrune: *noPrune, pruneCap: *pruneCap, finalOnly: *finalOnly,
 				reorder: *reorder, faults: faultModel,
 				corpusDir: *corpusDir, resume: *resume,
-				scratch: *scratch, verbose: *verbose,
-				shard: shardIdx, numShards: numShards,
+				verbose: *verbose, shard: shardIdx, numShards: numShards,
 			},
 			profile: *profile, fs: *fsName, maxW: *maxW, dedup: *dedup,
 		})
@@ -233,18 +223,16 @@ func runTable4(sample, maxW int64) {
 
 // campaignOpts carries the shared campaign tuning flags.
 type campaignOpts struct {
-	workers                      int
-	sample                       int64
-	noPrune, finalOnly           bool
-	noClassPrune, noCommutePrune bool
-	pruneCap                     int
-	reorder                      int
-	faults                       b3.FaultModel
-	corpusDir                    string
-	resume                       bool
-	scratch                      bool
-	verbose                      bool
-	shard, numShards             int
+	workers            int
+	sample             int64
+	noPrune, finalOnly bool
+	pruneCap           int
+	reorder            int
+	faults             b3.FaultModel
+	corpusDir          string
+	resume             bool
+	verbose            bool
+	shard, numShards   int
 }
 
 // parseFaults parses the -faults/-sector flag pair into a FaultModel
@@ -380,9 +368,8 @@ func runFindNewBugs(o campaignOpts) {
 			stats, err := b3.RunCampaign(b3.Campaign{
 				FS: fs, Profile: p, Workers: o.workers,
 				SampleEvery: o.sample, DedupKnown: true,
-				NoPrune: o.noPrune, NoClassPrune: o.noClassPrune, NoCommutePrune: o.noCommutePrune,
-				PruneCap: o.pruneCap, FinalOnly: o.finalOnly,
-				Reorder: o.reorder, Faults: o.faults, ScratchStates: o.scratch,
+				NoPrune: o.noPrune, PruneCap: o.pruneCap, FinalOnly: o.finalOnly,
+				Reorder: o.reorder, Faults: o.faults,
 				Shard: o.shard, NumShards: o.numShards,
 				// Each (fs, profile) pair gets its own corpus shard.
 				CorpusDir: o.corpusDir, Resume: o.resume,
@@ -526,9 +513,8 @@ func runProfile(r profileRun) {
 	c := b3.Campaign{
 		Profile: b3.ProfileName(r.profile), Workers: r.workers,
 		SampleEvery: r.sample, MaxWorkloads: r.maxW, DedupKnown: r.dedup,
-		NoPrune: r.noPrune, NoClassPrune: r.noClassPrune, NoCommutePrune: r.noCommutePrune,
-		PruneCap: r.pruneCap, FinalOnly: r.finalOnly,
-		Reorder: r.reorder, Faults: r.faults, ScratchStates: r.scratch,
+		NoPrune: r.noPrune, PruneCap: r.pruneCap, FinalOnly: r.finalOnly,
+		Reorder: r.reorder, Faults: r.faults,
 		Shard: r.shard, NumShards: r.numShards,
 		CorpusDir: r.corpusDir, Resume: r.resume,
 		Interrupt: installInterrupt(),

@@ -176,7 +176,7 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 
 			i := 0
 			var meter BlockMeter
-			incReplayed, err := ForEachReorderStateIncremental(base, log, k, &meter,
+			incStats, err := ForEachReorderStatePruned(base, log, k, ReorderEnumOpts{}, &meter,
 				func(st ReorderState, crash *Snapshot) bool {
 					if i >= len(want) {
 						t.Fatalf("incremental enumerated extra state %s", st.Desc)
@@ -197,6 +197,7 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			incReplayed := incStats.Replayed
 			if i != len(want) {
 				t.Fatalf("incremental enumerated %d states, scratch %d", i, len(want))
 			}
@@ -226,7 +227,7 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 func TestIncrementalReorderEmptyLog(t *testing.T) {
 	base := NewMemDisk(8)
 	seen := 0
-	_, err := ForEachReorderStateIncremental(base, nil, 1, nil, func(st ReorderState, crash *Snapshot) bool {
+	_, err := ForEachReorderStatePruned(base, nil, 1, ReorderEnumOpts{}, nil, func(st ReorderState, crash *Snapshot) bool {
 		if st.Desc != "empty" {
 			t.Fatalf("unexpected state %s", st.Desc)
 		}
@@ -241,7 +242,7 @@ func TestIncrementalReorderEmptyLog(t *testing.T) {
 func TestIncrementalReorderEarlyStop(t *testing.T) {
 	base, rec := buildLog(t)
 	seen := 0
-	if _, err := ForEachReorderStateIncremental(base, rec.Log(), 1, nil,
+	if _, err := ForEachReorderStatePruned(base, rec.Log(), 1, ReorderEnumOpts{}, nil,
 		func(ReorderState, *Snapshot) bool {
 			seen++
 			return seen < 3

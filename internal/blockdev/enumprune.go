@@ -6,24 +6,16 @@ import "fmt"
 // The two-tier verdict cache (crashmonkey's PruneCache) discovers state
 // equivalence only after a crash state has been fully constructed; the
 // pruned enumerators below decide it while enumerating, using the same O(1)
-// XOR fingerprint algebra the tracked snapshots maintain:
+// XOR fingerprint algebra the tracked snapshots maintain: every state's
+// content fingerprint is computed *before* the state is constructed (a pure
+// XOR-delta computation over the epoch's per-block contributions), and a
+// caller-supplied Seen index is consulted; an already-classified state is
+// skipped without forking a snapshot or replaying a single write.
 //
-//   - class pruning: every state's content fingerprint is computed *before*
-//     the state is constructed (a pure XOR-delta computation over the
-//     epoch's per-block contributions), and a caller-supplied Seen index is
-//     consulted; an already-classified state is skipped without forking a
-//     snapshot or replaying a single write.
-//   - commutativity pruning (reorder only): a drop-set containing a write
-//     that a later surviving write to the same block overwrites produces an
-//     image byte-identical to the drop-set without that write. Such sets are
-//     skipped outright and attributed to their canonical representative —
-//     the per-block suffix-closed subset, which is strictly smaller and so
-//     was enumerated earlier (subsets are enumerated smallest-first).
-//
-// Both prunes are verdict-preserving by construction and cross-checked
+// Class pruning is verdict-preserving by construction and cross-checked
 // against the unpruned scratch engines (docs/TESTING.md): the enumerated
-// space satisfies count == Visited + ClassSkipped + CommuteSkipped exactly,
-// with count from the 128-bit guarded ReorderStateCount/FaultStateCount.
+// space satisfies count == Visited + ClassSkipped exactly, with count from
+// the 128-bit guarded ReorderStateCount/FaultStateCount.
 
 // EnumStats is the outcome of one pruned enumeration.
 type EnumStats struct {
@@ -32,9 +24,6 @@ type EnumStats struct {
 	// ClassSkipped counts states skipped because Seen classified their
 	// fingerprint before construction.
 	ClassSkipped int64
-	// CommuteSkipped counts drop-sets skipped as commutatively identical to
-	// an earlier canonical drop-set (reorder only).
-	CommuteSkipped int64
 	// Replayed counts the writes replayed constructing the visited states
 	// (the metered construction cost).
 	Replayed int64
@@ -43,28 +32,21 @@ type EnumStats struct {
 // States returns the total states the enumeration accounted for. It equals
 // ReorderStateCount/FaultStateCount when the enumeration ran to completion.
 func (s EnumStats) States() int64 {
-	return s.Visited + s.ClassSkipped + s.CommuteSkipped
+	return s.Visited + s.ClassSkipped
 }
 
 // ReorderEnumOpts configures ForEachReorderStatePruned. The zero value
-// disables both prunes, making it equivalent to
-// ForEachReorderStateIncremental.
+// disables class pruning: every state is constructed.
 type ReorderEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
 	// construction and fn entirely (the caller already knows the verdict for
 	// this fingerprint).
 	Seen func(st ReorderState, fp uint64) bool
-	// Commute enables commutativity pruning of redundant drop-sets.
-	Commute bool
-	// OnCommuteSkip, when non-nil, observes every commute-skipped drop-set
-	// together with the Desc of its canonical representative (always
-	// enumerated earlier in the same epoch).
-	OnCommuteSkip func(st ReorderState, repDesc string)
 }
 
 // FaultEnumOpts configures ForEachFaultStatePruned. The zero value disables
-// class pruning, making it equivalent to ForEachFaultStateIncremental.
+// class pruning: every state is constructed.
 type FaultEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
 	// fingerprint before the state is constructed; returning true skips
@@ -81,7 +63,6 @@ type FaultEnumOpts struct {
 type epochPlan struct {
 	c      []uint64      // contribution of write i (zero-padded block content)
 	prev   []int         // previous same-block write index, or -1
-	next   []int         // next same-block write index, or -1
 	last   map[int64]int // block -> index of its final write in the epoch
 	fullFP uint64        // fingerprint with every epoch write applied
 }
@@ -91,7 +72,6 @@ func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
 	p := epochPlan{
 		c:    make([]uint64, len(writes)),
 		prev: make([]int, len(writes)),
-		next: make([]int, len(writes)),
 		last: make(map[int64]int, len(writes)),
 	}
 	buf := poolGet()
@@ -106,10 +86,9 @@ func planEpoch(rolling *Snapshot, writes []Record) epochPlan {
 			data = buf
 		}
 		p.c[i] = BlockContribution(rec.Block, data)
-		p.prev[i], p.next[i] = -1, -1
+		p.prev[i] = -1
 		if j, ok := p.last[rec.Block]; ok {
 			p.prev[i] = j
-			p.next[j] = i
 		}
 		p.last[rec.Block] = i
 	}
@@ -161,48 +140,31 @@ func (p *epochPlan) dropFP(rolling *Snapshot, writes []Record, drop []int) uint6
 	return fp
 }
 
-// canonicalDrop implements the commute-prune rule. A member i of drop is
-// removable when some later write to the same block survives (is not in
-// drop): dropping i is then unobservable, because that later write
-// overwrites the block either way. The canonical form removes every
-// removable member at once — what remains is, per block, a suffix-closed
-// tail of the block's write chain, none of which is removable, so one pass
-// is a fixed point. The canonical set is strictly smaller than drop, hence
-// enumerated earlier (subsets are enumerated smallest-first, lexicographic
-// within a size).
-//
-// canonicalDrop returns (nil, false) when drop is its own canonical form, or
-// when the canonical form is empty — the empty set's representative is the
-// fully-applied epoch, which is enumerated *later* (as the next epoch's
-// pfx0 or the final full state), so skipping would orphan the attribution.
-func (p *epochPlan) canonicalDrop(drop []int) ([]int, bool) {
-	var keep []int
-	removable := 0
-	for _, d := range drop {
-		j := p.next[d]
-		for j >= 0 && inSet(drop, j) {
-			j = p.next[j]
-		}
-		if j >= 0 {
-			removable++
-		} else {
-			keep = append(keep, d)
-		}
-	}
-	if removable == 0 || len(keep) == 0 {
-		return nil, false
-	}
-	return keep, true
-}
-
 // ForEachReorderStatePruned enumerates the bounded-reordering crash-state
-// space of log — the same space, order, and descriptors as
-// ForEachReorderState — constructing each state incrementally and skipping
-// states per opts before construction. Every enumerated state is accounted
-// exactly once in the returned EnumStats: handed to fn (Visited), skipped
-// by the Seen index (ClassSkipped), or skipped as commutatively redundant
-// (CommuteSkipped); States() equals ReorderStateCount when the sweep runs
-// to completion. fn's contract matches ForEachReorderStateIncremental.
+// space of log — the same space, order, descriptors, and byte-identical
+// device contents as ForEachReorderState — but constructs each state from
+// its epoch boundary instead of replaying every prior epoch from scratch:
+//
+//   - a rolling tracked snapshot over base advances epoch by epoch, so the
+//     barriered prefix shared by all of an epoch's states is replayed once
+//     per sweep instead of once per state;
+//   - the in-order prefix states of an epoch advance a second-level rolling
+//     fork one write at a time, so the whole prefix family costs O(n) writes
+//     total rather than O(n²);
+//   - drop-subset states fork from the epoch base and replay only the
+//     epoch's surviving writes.
+//
+// States whose fingerprint opts.Seen classifies are skipped before
+// construction. Every enumerated state is accounted exactly once in the
+// returned EnumStats: handed to fn (Visited) or skipped by the Seen index
+// (ClassSkipped); States() equals ReorderStateCount when the sweep runs to
+// completion.
+//
+// fn receives each state as a tracked COW fork: recovery writes stay in the
+// fork, and Fingerprint() is O(1) and equal to the from-scratch overlay
+// fingerprint. The fork is valid only for the duration of fn and is released
+// back to the buffer pool when fn returns; fn returning false stops the
+// sweep. Replayed writes are also folded into meter when non-nil.
 func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnumOpts,
 	meter *BlockMeter, fn func(st ReorderState, crash *Snapshot) bool) (EnumStats, error) {
 
@@ -278,17 +240,6 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 		for d := 1; d <= maxDrop; d++ {
 			var sweepErr error
 			ok := combinations(n, d, func(drop []int) bool {
-				if opts.Commute {
-					if canon, skip := plan.canonicalDrop(drop); skip {
-						stats.CommuteSkipped++
-						if opts.OnCommuteSkip != nil {
-							opts.OnCommuteSkip(ReorderState{Epoch: ep.Index, Applied: n,
-								Dropped: append([]int(nil), drop...),
-								Desc:    dropDesc(ep.Index, drop)}, dropDesc(ep.Index, canon))
-						}
-						return true
-					}
-				}
 				cont, err := emit(ReorderState{Epoch: ep.Index, Applied: n,
 					Dropped: append([]int(nil), drop...),
 					Desc:    dropDesc(ep.Index, drop)},
@@ -319,12 +270,19 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 }
 
 // ForEachFaultStatePruned enumerates the crash-state space of one fault
-// kind — the same space, order, and descriptors as ForEachFaultState —
-// constructing each state incrementally and consulting opts.Seen with each
-// state's fingerprint before construction. The fingerprints of torn and
-// corrupt states cost one block hash; misdirect states are pure XOR deltas,
-// so the class index prunes their whole-epoch replays without a single
-// write. fn's contract matches ForEachFaultStateIncremental.
+// kind — the same space, order, descriptors, and byte-identical device
+// contents as ForEachFaultState — constructing each state from a rolling
+// tracked snapshot instead of replaying every prior epoch from scratch. Each
+// state forks the rolling snapshot and applies only its own delta: nothing
+// for fault-free prefix/final states, the single torn or corrupting write
+// for torn/corrupt states, or the in-flight epoch with one write redirected
+// for misdirect states.
+//
+// opts.Seen is consulted with each state's fingerprint before construction.
+// The fingerprints of torn and corrupt states cost one block hash;
+// misdirect states are pure XOR deltas, so the class index prunes their
+// whole-epoch replays without a single write. fn's contract matches
+// ForEachReorderStatePruned.
 func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSize int,
 	opts FaultEnumOpts, meter *BlockMeter, fn func(st FaultState, crash *Snapshot) bool) (EnumStats, error) {
 

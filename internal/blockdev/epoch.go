@@ -173,33 +173,6 @@ func ReorderStateCount(log []Record, k int) (int64, error) {
 	return reorderCountForSizes(epochSizes(Epochs(log)), k)
 }
 
-// ForEachReorderStateIncremental enumerates exactly the states of
-// ForEachReorderState — same order, same descriptors, byte-identical device
-// contents — but constructs each state from its epoch boundary instead of
-// replaying every prior epoch from scratch:
-//
-//   - a rolling tracked snapshot over base advances epoch by epoch, so the
-//     barriered prefix shared by all of an epoch's states is replayed once
-//     per sweep instead of once per state;
-//   - the in-order prefix states of an epoch advance a second-level rolling
-//     fork one write at a time, so the whole prefix family costs O(n) writes
-//     total rather than O(n²);
-//   - drop-subset states fork from the epoch base and replay only the
-//     epoch's surviving writes.
-//
-// fn receives each state as a tracked COW fork: recovery writes stay in the
-// fork, and Fingerprint() is O(1) and equal to the from-scratch overlay
-// fingerprint. The fork is valid only for the duration of fn and is released
-// back to the buffer pool when fn returns; fn returning false stops the
-// sweep. The returned count is the number of writes replayed (the metered
-// construction cost; also folded into meter when non-nil).
-func ForEachReorderStateIncremental(base Device, log []Record, k int, meter *BlockMeter,
-	fn func(st ReorderState, crash *Snapshot) bool) (int64, error) {
-
-	stats, err := ForEachReorderStatePruned(base, log, k, ReorderEnumOpts{}, meter, fn)
-	return stats.Replayed, err
-}
-
 // applyReorderState replays st onto dst: all writes of the epochs before
 // st.Epoch, then the in-flight epoch's prefix or drop-subset.
 func applyReorderState(dst Device, epochs []Epoch, st ReorderState) error {

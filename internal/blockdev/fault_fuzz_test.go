@@ -55,7 +55,7 @@ func FuzzFaultStates(f *testing.F) {
 		var descs []string
 		var fps []uint64
 		seen := map[string]bool{}
-		if _, err := ForEachFaultStateIncremental(base, log, kind, sector, nil,
+		if _, err := ForEachFaultStatePruned(base, log, kind, sector, FaultEnumOpts{}, nil,
 			func(st FaultState, crash *Snapshot) bool {
 				if seen[st.Desc] {
 					t.Fatalf("duplicate Desc %q", st.Desc)

@@ -104,12 +104,6 @@ type Config struct {
 	// states. Excluded from the config fingerprint like the other
 	// construction-strategy toggles.
 	NoClassPrune bool
-	// NoCommutePrune disables commutativity pruning of reorder drop-sets:
-	// drop-sets provably byte-identical to an earlier canonical one are
-	// constructed (or class-pruned) individually instead of being skipped
-	// at enumeration time. Cross-check mode, excluded from the config
-	// fingerprint.
-	NoCommutePrune bool
 	// PruneCap bounds each prune-cache tier (entries). 0 uses
 	// crashmonkey.DefaultPruneCap; negative means unbounded. Eviction is
 	// verdict-preserving: an evicted state that recurs is re-checked.
@@ -292,16 +286,14 @@ type Stats struct {
 	// prune cache after construction, and ReorderBroken the states that
 	// neither mounted nor were repaired by fsck — violations of the
 	// core-mechanism assumption. ReorderClassSkipped counts states never
-	// constructed (enumeration-time class hit); ReorderCommuteSkipped
-	// counts drop-sets skipped as provably identical to an earlier
-	// canonical representative. Both are included in ReorderStates.
-	ReorderBound          int
-	ReorderStates         int64
-	ReorderChecked        int64
-	ReorderPruned         int64
-	ReorderClassSkipped   int64
-	ReorderCommuteSkipped int64
-	ReorderBroken         int64
+	// constructed (enumeration-time class hit); it is included in
+	// ReorderStates.
+	ReorderBound        int
+	ReorderStates       int64
+	ReorderChecked      int64
+	ReorderPruned       int64
+	ReorderClassSkipped int64
+	ReorderBroken       int64
 
 	// Fault-injection accounting (empty when Config.Faults is disabled).
 	// FaultSector is the torn-write sector granularity the campaign ran
@@ -455,7 +447,6 @@ type counters struct {
 	reorderStates, reorderChecked atomic.Int64
 	reorderPruned, reorderBroken  atomic.Int64
 	reorderClassSkip              atomic.Int64
-	reorderCommuteSkip            atomic.Int64
 	faultStates, faultChecked     [blockdev.NumFaultKinds]atomic.Int64
 	faultPruned, faultBroken      [blockdev.NumFaultKinds]atomic.Int64
 	faultClassSkip                [blockdev.NumFaultKinds]atomic.Int64
@@ -483,7 +474,6 @@ func (cnt *counters) into(stats *Stats) {
 	stats.ReorderChecked = cnt.reorderChecked.Load()
 	stats.ReorderPruned = cnt.reorderPruned.Load()
 	stats.ReorderClassSkipped = cnt.reorderClassSkip.Load()
-	stats.ReorderCommuteSkipped = cnt.reorderCommuteSkip.Load()
 	stats.ReorderBroken = cnt.reorderBroken.Load()
 	stats.ReplayedWrites = cnt.replayedWrites.Load()
 	stats.FaultKinds = nil
@@ -590,9 +580,6 @@ func foldRecord(rec *corpus.WorkloadRecord, fsName string, noPrune bool,
 			cnt.faultClassSkip[k].Add(int64(f.ClassSkip))
 		}
 	}
-	// Commute skips are cache-independent (the enumerator proves the states
-	// byte-identical), so they fold as skips even into a no-prune run.
-	cnt.reorderCommuteSkip.Add(int64(rec.RCommuteSkip))
 	if rec.KV != nil {
 		cnt.addKV(kvoracle.Counts{
 			Legal:        rec.KV.Legal,
@@ -1030,16 +1017,11 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 						Prune:           j.run.cache,
 						ScratchStates:   j.run.cfg.ScratchStates,
 						NoClassPrune:    j.run.cfg.NoClassPrune,
-						NoCommutePrune:  j.run.cfg.NoCommutePrune,
 						Meter:           &j.run.meter,
 					}
 					monkeys[j.run] = mk
 				}
-				if j.kw != nil {
-					j.run.runKVWorkload(mk, j.kw, j.seq)
-				} else {
-					j.run.runWorkload(mk, j.w, j.seq)
-				}
+				j.run.runWorkload(mk, j)
 			}
 		}()
 	}
@@ -1088,46 +1070,201 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 	return matrix, nil
 }
 
-// runWorkload profiles one workload, crash-tests its persistence points,
-// and (when Reorder is set) sweeps its bounded-reordering crash states,
-// reporting buggy states and recording the outcome to the corpus.
-func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, w *workload.Workload, seq int64) {
-	cnt, emit, record := &r.cnt, r.emit, r.appendRecord
-	finalOnly := r.cfg.FinalOnly
+// subject is one profiled workload of either family as the campaign driver
+// sees it: the family's checkpoint test, crash-state sweeps, and report
+// construction behind one interface, so runWorkload folds counters, corpus
+// records, and reports identically for both.
+type subject interface {
+	checkpoints() int
+	// test crash-tests persistence point cp.
+	test(cp int) (cpOutcome, error)
+	// reorder sweeps the bounded-reordering states at bound k, returning
+	// the KV oracle classes alongside (zero for the fs family).
+	reorder(k int) (*crashmonkey.ReorderReport, kvoracle.Counts, error)
+	// faults sweeps the fault-injection states of every kind in m.
+	faults(m blockdev.FaultModel) ([]crashmonkey.FaultKindReport, kvoracle.Counts, error)
+	release()
+}
 
-	rec := &corpus.WorkloadRecord{Seq: seq, ID: w.ID, Verdict: corpus.VerdictClean}
-	p, err := mk.ProfileWorkload(w)
+// cpOutcome is one checkpoint verdict as the driver folds it.
+type cpOutcome struct {
+	prunedBy            string // "" when the state was fully checked
+	replayed            int64
+	replayDur, checkDur time.Duration
+	// classified reports that the KV oracle rendered class: FS-broken
+	// states render no application verdict (the lower layer already broke
+	// its contract; that surfaces as an Unmountable finding instead).
+	classified bool
+	class      kvoracle.Class
+	// rep is the bug report of a buggy state, nil when it is consistent.
+	rep *report.Report
+}
+
+// fsSubject is a profiled ACE workload checked by the file-level oracle.
+type fsSubject struct {
+	mk *crashmonkey.Monkey
+	p  *crashmonkey.Profile
+}
+
+func (s fsSubject) checkpoints() int { return s.p.Checkpoints() }
+func (s fsSubject) release()         { s.p.Release() }
+
+func (s fsSubject) test(cp int) (cpOutcome, error) {
+	res, err := s.mk.TestCheckpoint(s.p, cp)
+	if err != nil {
+		return cpOutcome{}, err
+	}
+	out := cpOutcome{prunedBy: res.PrunedBy, replayed: res.ReplayedWrites,
+		replayDur: res.ReplayDur, checkDur: res.CheckDur}
+	if res.Buggy() {
+		out.rep = report.FromResult(res)
+	}
+	return out, nil
+}
+
+func (s fsSubject) reorder(k int) (*crashmonkey.ReorderReport, kvoracle.Counts, error) {
+	rr, err := s.mk.ExploreReorder(s.p, k)
+	return rr, kvoracle.Counts{}, err
+}
+
+func (s fsSubject) faults(m blockdev.FaultModel) ([]crashmonkey.FaultKindReport, kvoracle.Counts, error) {
+	fr, err := s.mk.ExploreFaults(s.p, m)
+	if err != nil {
+		return nil, kvoracle.Counts{}, err
+	}
+	return fr.Kinds, kvoracle.Counts{}, nil
+}
+
+// kvSubject is a profiled KV workload checked by the expected-state oracle.
+type kvSubject struct {
+	mk *crashmonkey.Monkey
+	kp *crashmonkey.KVProfile
+}
+
+func (s kvSubject) checkpoints() int { return s.kp.Checkpoints() }
+func (s kvSubject) release()         { s.kp.Release() }
+
+func (s kvSubject) test(cp int) (cpOutcome, error) {
+	res, err := s.mk.TestKVCheckpoint(s.kp, cp)
+	if err != nil {
+		return cpOutcome{}, err
+	}
+	out := cpOutcome{prunedBy: res.PrunedBy, replayed: res.ReplayedWrites,
+		replayDur: res.ReplayDur, checkDur: res.CheckDur,
+		classified: res.Mountable || res.FsckRepaired, class: res.Class}
+	if res.Buggy() {
+		out.rep = &report.Report{
+			FSName:      res.FSName,
+			WorkloadID:  res.Workload.ID,
+			Skeleton:    res.Workload.Skeleton(),
+			Consequence: res.Primary().Consequence,
+			Findings:    res.Findings,
+			Workload:    res.Workload.String(),
+		}
+	}
+	return out, nil
+}
+
+func (s kvSubject) reorder(k int) (*crashmonkey.ReorderReport, kvoracle.Counts, error) {
+	rr, err := s.mk.ExploreKVReorder(s.kp, k)
+	if err != nil {
+		return nil, kvoracle.Counts{}, err
+	}
+	return &rr.ReorderReport, rr.Classes, nil
+}
+
+func (s kvSubject) faults(m blockdev.FaultModel) ([]crashmonkey.FaultKindReport, kvoracle.Counts, error) {
+	fr, err := s.mk.ExploreKVFaults(s.kp, m)
+	if err != nil {
+		return nil, kvoracle.Counts{}, err
+	}
+	kinds := make([]crashmonkey.FaultKindReport, len(fr.Kinds))
+	var classes kvoracle.Counts
+	for i, kr := range fr.Kinds {
+		kinds[i] = kr.FaultKindReport
+		classes.Merge(kr.Classes)
+	}
+	return kinds, classes, nil
+}
+
+// profile records the job's workload on mk, returning it as a subject with
+// its profiling wall time and COW overlay footprint.
+func (j fsJob) profile(mk *crashmonkey.Monkey) (subject, time.Duration, int64, error) {
+	if j.kw != nil {
+		kp, err := mk.ProfileKV(j.kw)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return kvSubject{mk, kp}, kp.ProfileDur, kp.DirtyBytes, nil
+	}
+	p, err := mk.ProfileWorkload(j.w)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return fsSubject{mk, p}, p.ProfileDur, p.DirtyBytes, nil
+}
+
+// id returns the job's workload ID.
+func (j fsJob) id() string {
+	if j.kw != nil {
+		return j.kw.ID
+	}
+	return j.w.ID
+}
+
+// text returns the skeleton and rendering recorded for a buggy workload.
+func (j fsJob) text() (skeleton, workload string) {
+	if j.kw != nil {
+		return j.kw.Skeleton(), j.kw.String()
+	}
+	return j.w.Skeleton(), j.w.String()
+}
+
+// runWorkload profiles one workload of either family, crash-tests its
+// persistence points, and (when configured) sweeps its reorder and fault
+// crash states, reporting buggy states and recording the outcome to the
+// corpus. The sweeps are skipped for workloads that already errored, so
+// every recorded total is a deterministic function of the workload (what
+// resume compares against) — except the checked/pruned/class-skipped
+// split, which depends on shared prune-cache state and worker
+// interleaving, so only its sum is stable. KV oracle classes never depend
+// on cache state, so they are recorded and resume/merge fold them exactly.
+func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, j fsJob) {
+	cnt := &r.cnt
+	rec := &corpus.WorkloadRecord{Seq: j.seq, ID: j.id(), Verdict: corpus.VerdictClean}
+	s, profDur, dirty, err := j.profile(mk)
 	if err != nil {
 		cnt.errs.Add(1)
 		rec.Verdict = corpus.VerdictError
 		rec.Errored = true
-		record(rec)
+		r.appendRecord(rec)
 		return
 	}
 	// Hand the profile's pooled device memory (base image, overlays, the
 	// rolling cursor) back once every sweep over it is done.
-	defer p.Release()
-	last := p.Checkpoints()
+	defer s.release()
+	last := s.checkpoints()
 	if last == 0 {
-		record(rec)
+		r.appendRecord(rec)
 		return
 	}
-	cnt.profNS.Add(int64(p.ProfileDur))
-	cnt.dirtyTot.Add(p.DirtyBytes)
+	cnt.profNS.Add(int64(profDur))
+	cnt.dirtyTot.Add(dirty)
 	cnt.dirtyN.Add(1)
 	for {
 		cur := cnt.dirtyMax.Load()
-		if p.DirtyBytes <= cur || cnt.dirtyMax.CompareAndSwap(cur, p.DirtyBytes) {
+		if dirty <= cur || cnt.dirtyMax.CompareAndSwap(cur, dirty) {
 			break
 		}
 	}
 
+	var classes kvoracle.Counts
 	first := 1
-	if finalOnly {
+	if r.cfg.FinalOnly {
 		first = last
 	}
 	for cp := first; cp <= last; cp++ {
-		res, err := mk.TestCheckpoint(p, cp)
+		out, err := s.test(cp)
 		if err != nil {
 			// Earlier checkpoints may already have found bugs; keep those
 			// reports and verdicts, just stop testing this workload.
@@ -1137,32 +1274,35 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, w *workload.Workload, seq in
 		}
 		rec.States++
 		cnt.statesTotal.Add(1)
-		if res.Pruned {
-			rec.Pruned++
-			cnt.statesPruned.Add(1)
-			if res.PrunedBy == "disk" {
-				cnt.prunedDisk.Add(1)
-			} else {
-				cnt.prunedTree.Add(1)
-			}
-		} else {
+		switch out.prunedBy {
+		case "":
 			rec.Checked++
 			cnt.statesChecked.Add(1)
+		case "disk":
+			rec.Pruned++
+			cnt.statesPruned.Add(1)
+			cnt.prunedDisk.Add(1)
+		default:
+			rec.Pruned++
+			cnt.statesPruned.Add(1)
+			cnt.prunedTree.Add(1)
 		}
-		rec.Replayed += res.ReplayedWrites
-		cnt.replayedWrites.Add(res.ReplayedWrites)
-		cnt.replayNS.Add(int64(res.ReplayDur))
-		cnt.checkNS.Add(int64(res.CheckDur))
-		if res.Buggy() {
+		rec.Replayed += out.replayed
+		cnt.replayedWrites.Add(out.replayed)
+		cnt.replayNS.Add(int64(out.replayDur))
+		cnt.checkNS.Add(int64(out.checkDur))
+		if out.classified {
+			classes.Add(out.class)
+		}
+		if out.rep != nil {
 			rec.Verdict = corpus.VerdictBuggy
-			r := report.FromResult(res)
-			emit(r)
+			r.emit(out.rep)
 			cr := corpus.ReportRecord{
 				Checkpoint: cp,
-				Primary:    uint8(res.Primary().Consequence),
-				Skeleton:   r.Skeleton,
+				Primary:    uint8(out.rep.Consequence),
+				Skeleton:   out.rep.Skeleton,
 			}
-			for _, f := range res.Findings {
+			for _, f := range out.rep.Findings {
 				cr.Findings = append(cr.Findings, corpus.Finding{
 					Consequence: uint8(f.Consequence),
 					Path:        f.Path,
@@ -1172,15 +1312,8 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, w *workload.Workload, seq in
 			rec.Reports = append(rec.Reports, cr)
 		}
 	}
-	// The bounded-reordering sweep rides the same profile. It is skipped for
-	// workloads that already errored so the recorded RStates/RBroken totals
-	// are a deterministic function of the workload (what resume compares
-	// against); the RChecked/RPruned/RClassSkip split depends on shared
-	// prune-cache state and worker interleaving, so only its sum is stable
-	// (RCommuteSkip is deterministic: the enumerator proves those states
-	// identical without consulting the cache).
 	if r.cfg.Reorder > 0 && !rec.Errored {
-		rr, err := mk.ExploreReorder(p, r.cfg.Reorder)
+		rr, c, err := s.reorder(r.cfg.Reorder)
 		if err != nil {
 			cnt.errs.Add(1)
 			rec.Errored = true
@@ -1189,29 +1322,24 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, w *workload.Workload, seq in
 			rec.RChecked = rr.Checked
 			rec.RPruned = rr.Pruned
 			rec.RClassSkip = rr.ClassSkipped
-			rec.RCommuteSkip = rr.CommuteSkipped
 			rec.RBroken = len(rr.Broken)
 			rec.Replayed += rr.ReplayedWrites
 			cnt.reorderStates.Add(int64(rr.States))
 			cnt.reorderChecked.Add(int64(rr.Checked))
 			cnt.reorderPruned.Add(int64(rr.Pruned))
 			cnt.reorderClassSkip.Add(int64(rr.ClassSkipped))
-			cnt.reorderCommuteSkip.Add(int64(rr.CommuteSkipped))
 			cnt.reorderBroken.Add(int64(len(rr.Broken)))
 			cnt.replayedWrites.Add(rr.ReplayedWrites)
+			classes.Merge(c)
 		}
 	}
-	// The fault-injection sweeps ride the same profile, gated like the
-	// reorder sweep so the recorded per-kind totals stay a deterministic
-	// function of the workload; only the Checked/Pruned split depends on
-	// shared prune-cache state.
 	if r.cfg.Faults.Enabled() && !rec.Errored {
-		fr, err := mk.ExploreFaults(p, r.cfg.Faults)
+		kinds, c, err := s.faults(r.cfg.Faults)
 		if err != nil {
 			cnt.errs.Add(1)
 			rec.Errored = true
 		} else {
-			for _, kr := range fr.Kinds {
+			for _, kr := range kinds {
 				rec.Faults = append(rec.Faults, corpus.FaultKindCounts{
 					Kind:      kr.Kind.String(),
 					States:    kr.States,
@@ -1229,167 +1357,7 @@ func (r *fsRun) runWorkload(mk *crashmonkey.Monkey, w *workload.Workload, seq in
 				rec.Replayed += kr.ReplayedWrites
 				cnt.replayedWrites.Add(kr.ReplayedWrites)
 			}
-		}
-	}
-	if rec.Verdict == corpus.VerdictBuggy {
-		cnt.failed.Add(1)
-		rec.Skeleton = w.Skeleton()
-		rec.Workload = w.String()
-	} else if rec.Errored {
-		rec.Verdict = corpus.VerdictError
-	}
-	if !rec.Errored {
-		cnt.tested.Add(1)
-	}
-	record(rec)
-}
-
-// runKVWorkload is runWorkload's application-family counterpart: it drives
-// the KV store over the mounted backend, crash-tests every persistence
-// point through the expected-state oracle, and (when configured) sweeps the
-// reorder and fault axes. Oracle class verdicts fold into the KV counters;
-// violations become report groups exactly like file-level findings. The
-// class totals are a deterministic function of the workload (verdicts never
-// depend on prune-cache state), so they are recorded to the corpus and
-// resume/merge fold the identical counts.
-func (r *fsRun) runKVWorkload(mk *crashmonkey.Monkey, w *kvace.Workload, seq int64) {
-	cnt, emit, record := &r.cnt, r.emit, r.appendRecord
-	finalOnly := r.cfg.FinalOnly
-
-	rec := &corpus.WorkloadRecord{Seq: seq, ID: w.ID, Verdict: corpus.VerdictClean}
-	kp, err := mk.ProfileKV(w)
-	if err != nil {
-		cnt.errs.Add(1)
-		rec.Verdict = corpus.VerdictError
-		rec.Errored = true
-		record(rec)
-		return
-	}
-	defer kp.Release()
-	last := kp.Checkpoints()
-	if last == 0 {
-		record(rec)
-		return
-	}
-	cnt.profNS.Add(int64(kp.ProfileDur))
-	cnt.dirtyTot.Add(kp.DirtyBytes)
-	cnt.dirtyN.Add(1)
-	for {
-		cur := cnt.dirtyMax.Load()
-		if kp.DirtyBytes <= cur || cnt.dirtyMax.CompareAndSwap(cur, kp.DirtyBytes) {
-			break
-		}
-	}
-
-	var classes kvoracle.Counts
-
-	first := 1
-	if finalOnly {
-		first = last
-	}
-	for cp := first; cp <= last; cp++ {
-		res, err := mk.TestKVCheckpoint(kp, cp)
-		if err != nil {
-			cnt.errs.Add(1)
-			rec.Errored = true
-			break
-		}
-		rec.States++
-		cnt.statesTotal.Add(1)
-		if res.Pruned {
-			rec.Pruned++
-			cnt.statesPruned.Add(1)
-			if res.PrunedBy == "disk" {
-				cnt.prunedDisk.Add(1)
-			} else {
-				cnt.prunedTree.Add(1)
-			}
-		} else {
-			rec.Checked++
-			cnt.statesChecked.Add(1)
-		}
-		rec.Replayed += res.ReplayedWrites
-		cnt.replayedWrites.Add(res.ReplayedWrites)
-		cnt.replayNS.Add(int64(res.ReplayDur))
-		cnt.checkNS.Add(int64(res.CheckDur))
-		// FS-broken states render no application verdict (the lower layer
-		// already broke its contract; that surfaces as an Unmountable
-		// finding below, never as a KV class).
-		if res.Mountable || res.FsckRepaired {
-			classes.Add(res.Class)
-		}
-		if res.Buggy() {
-			rec.Verdict = corpus.VerdictBuggy
-			rep := &report.Report{
-				FSName:      r.cfg.FS.Name(),
-				WorkloadID:  w.ID,
-				Skeleton:    w.Skeleton(),
-				Consequence: res.Primary().Consequence,
-				Findings:    res.Findings,
-				Workload:    w.String(),
-			}
-			emit(rep)
-			cr := corpus.ReportRecord{
-				Checkpoint: cp,
-				Primary:    uint8(res.Primary().Consequence),
-				Skeleton:   rep.Skeleton,
-			}
-			for _, f := range res.Findings {
-				cr.Findings = append(cr.Findings, corpus.Finding{
-					Consequence: uint8(f.Consequence),
-					Path:        f.Path,
-					Detail:      f.Detail,
-				})
-			}
-			rec.Reports = append(rec.Reports, cr)
-		}
-	}
-	// The sweeps ride the same profile, gated like the file-level ones so
-	// the recorded totals stay a deterministic function of the workload.
-	// KV sweeps do no enumeration-time pruning (the oracle expectation
-	// varies per epoch), so RClassSkip and RCommuteSkip stay zero.
-	if r.cfg.Reorder > 0 && !rec.Errored {
-		rr, err := mk.ExploreKVReorder(kp, r.cfg.Reorder)
-		if err != nil {
-			cnt.errs.Add(1)
-			rec.Errored = true
-		} else {
-			rec.RStates = rr.States
-			rec.RChecked = rr.Checked
-			rec.RPruned = rr.Pruned
-			rec.RBroken = len(rr.Broken)
-			rec.Replayed += rr.ReplayedWrites
-			cnt.reorderStates.Add(int64(rr.States))
-			cnt.reorderChecked.Add(int64(rr.Checked))
-			cnt.reorderPruned.Add(int64(rr.Pruned))
-			cnt.reorderBroken.Add(int64(len(rr.Broken)))
-			cnt.replayedWrites.Add(rr.ReplayedWrites)
-			classes.Merge(rr.Classes)
-		}
-	}
-	if r.cfg.Faults.Enabled() && !rec.Errored {
-		fr, err := mk.ExploreKVFaults(kp, r.cfg.Faults)
-		if err != nil {
-			cnt.errs.Add(1)
-			rec.Errored = true
-		} else {
-			for _, kr := range fr.Kinds {
-				rec.Faults = append(rec.Faults, corpus.FaultKindCounts{
-					Kind:    kr.Kind.String(),
-					States:  kr.States,
-					Checked: kr.Checked,
-					Pruned:  kr.Pruned,
-					Broken:  len(kr.Broken),
-				})
-				k := int(kr.Kind)
-				cnt.faultStates[k].Add(int64(kr.States))
-				cnt.faultChecked[k].Add(int64(kr.Checked))
-				cnt.faultPruned[k].Add(int64(kr.Pruned))
-				cnt.faultBroken[k].Add(int64(len(kr.Broken)))
-				rec.Replayed += kr.ReplayedWrites
-				cnt.replayedWrites.Add(kr.ReplayedWrites)
-				classes.Merge(kr.Classes)
-			}
+			classes.Merge(c)
 		}
 	}
 	cnt.addKV(classes)
@@ -1403,15 +1371,14 @@ func (r *fsRun) runKVWorkload(mk *crashmonkey.Monkey, w *kvace.Workload, seq int
 	}
 	if rec.Verdict == corpus.VerdictBuggy {
 		cnt.failed.Add(1)
-		rec.Skeleton = w.Skeleton()
-		rec.Workload = w.String()
+		rec.Skeleton, rec.Workload = j.text()
 	} else if rec.Errored {
 		rec.Verdict = corpus.VerdictError
 	}
 	if !rec.Errored {
 		cnt.tested.Add(1)
 	}
-	record(rec)
+	r.appendRecord(rec)
 }
 
 // headline renders the first Summary line: the shard-stable campaign
@@ -1462,9 +1429,8 @@ func (s *Stats) Summary() string {
 	if s.ReorderBound > 0 {
 		fmt.Fprintf(&sb, "\nreorder (k=%d): %d states enumerated, %d checked, %d pruned, %d broken",
 			s.ReorderBound, s.ReorderStates, s.ReorderChecked, s.ReorderPruned, s.ReorderBroken)
-		if s.ReorderClassSkipped+s.ReorderCommuteSkipped > 0 {
-			fmt.Fprintf(&sb, "; never constructed: %d class-skipped, %d commute-skipped",
-				s.ReorderClassSkipped, s.ReorderCommuteSkipped)
+		if s.ReorderClassSkipped > 0 {
+			fmt.Fprintf(&sb, "; never constructed: %d class-skipped", s.ReorderClassSkipped)
 		}
 	}
 	if len(s.FaultKinds) > 0 {
@@ -1543,7 +1509,7 @@ func (m *Matrix) Table() string {
 			fmt.Sprintf("%d", s.DiskEvictions+s.TreeEvictions),
 			fmt.Sprintf("%.1f", s.ReplayPerState()),
 			fmt.Sprintf("%d", s.ReorderStates),
-			fmt.Sprintf("%d", s.ReorderClassSkipped+s.ReorderCommuteSkipped),
+			fmt.Sprintf("%d", s.ReorderClassSkipped),
 			fmt.Sprintf("%d", s.ReorderBroken),
 			s.faultCell(blockdev.FaultTorn.String()),
 			s.faultCell(blockdev.FaultCorrupt.String()),

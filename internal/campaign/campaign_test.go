@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -196,54 +195,64 @@ func assertSameGroups(t *testing.T, a, b *Stats) {
 // incremental crash-state engine: the default (rolling-cursor) construction
 // and the from-scratch cross-check mode must agree on every verdict and bug
 // group, state for state, while the incremental engine replays strictly
-// fewer writes.
+// fewer writes. Both workload families run through it.
 func TestScratchStatesCrossCheck(t *testing.T) {
-	fs, err := fsmake.NewBugsOnly("logfs")
-	if err != nil {
-		t.Fatal(err)
+	scenarios := []struct {
+		name string
+		fs   string
+		cfg  Config
+	}{
+		{"seq2-reorder1", "logfs", Config{
+			Bounds:      linkBounds(workload.OpCreat, workload.OpRename),
+			SampleEvery: 3, MaxWorkloads: 4000, Reorder: 1,
+		}},
+		{"kv-seq1-reorder1", "fscqsim", Config{KV: kvBounds(t, "kv-seq1"), Reorder: 1}},
 	}
-	cfg := Config{
-		FS:           fs,
-		Bounds:       linkBounds(workload.OpCreat, workload.OpRename),
-		SampleEvery:  3,
-		MaxWorkloads: 4000,
-		Reorder:      1,
-	}
-	inc, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratchCfg := cfg
-	scratchCfg.ScratchStates = true
-	scratch, err := Run(scratchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			fs, err := fsmake.NewBugsOnly(sc.fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sc.cfg
+			cfg.FS = fs
+			inc, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratchCfg := cfg
+			scratchCfg.ScratchStates = true
+			scratch, err := Run(scratchCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	if inc.StatesTotal != scratch.StatesTotal || inc.ReorderStates != scratch.ReorderStates {
-		t.Fatalf("modes constructed different state counts: %d/%d vs %d/%d",
-			inc.StatesTotal, inc.ReorderStates, scratch.StatesTotal, scratch.ReorderStates)
+			if inc.StatesTotal != scratch.StatesTotal || inc.ReorderStates != scratch.ReorderStates {
+				t.Fatalf("modes constructed different state counts: %d/%d vs %d/%d",
+					inc.StatesTotal, inc.ReorderStates, scratch.StatesTotal, scratch.ReorderStates)
+			}
+			// Identical fingerprints imply an identical prune split, not just
+			// identical verdicts: any divergence in the incremental hashes would
+			// surface here as a changed checked/pruned ratio.
+			if inc.StatesChecked != scratch.StatesChecked || inc.StatesPruned != scratch.StatesPruned {
+				t.Fatalf("prune split diverged: %d/%d vs %d/%d — incremental fingerprints differ from scratch",
+					inc.StatesChecked, inc.StatesPruned, scratch.StatesChecked, scratch.StatesPruned)
+			}
+			if inc.Failed != scratch.Failed || inc.ReorderBroken != scratch.ReorderBroken {
+				t.Fatalf("verdicts diverged: %d/%d failing vs %d/%d",
+					inc.Failed, inc.ReorderBroken, scratch.Failed, scratch.ReorderBroken)
+			}
+			assertSameVerdicts(t, inc, scratch)
+			if inc.ReplayedWrites >= scratch.ReplayedWrites {
+				t.Fatalf("incremental engine replayed %d writes, scratch %d — no savings",
+					inc.ReplayedWrites, scratch.ReplayedWrites)
+			}
+			t.Logf("replayed %d writes incrementally vs %d from scratch (%.1fx) over %d states",
+				inc.ReplayedWrites, scratch.ReplayedWrites,
+				float64(scratch.ReplayedWrites)/float64(inc.ReplayedWrites),
+				inc.StatesTotal+inc.ReorderStates)
+		})
 	}
-	// Identical fingerprints imply an identical prune split, not just
-	// identical verdicts: any divergence in the incremental hashes would
-	// surface here as a changed checked/pruned ratio.
-	if inc.StatesChecked != scratch.StatesChecked || inc.StatesPruned != scratch.StatesPruned {
-		t.Fatalf("prune split diverged: %d/%d vs %d/%d — incremental fingerprints differ from scratch",
-			inc.StatesChecked, inc.StatesPruned, scratch.StatesChecked, scratch.StatesPruned)
-	}
-	if inc.Failed != scratch.Failed || inc.ReorderBroken != scratch.ReorderBroken {
-		t.Fatalf("verdicts diverged: %d/%d failing vs %d/%d",
-			inc.Failed, inc.ReorderBroken, scratch.Failed, scratch.ReorderBroken)
-	}
-	assertSameGroups(t, inc, scratch)
-	if inc.ReplayedWrites >= scratch.ReplayedWrites {
-		t.Fatalf("incremental engine replayed %d writes, scratch %d — no savings",
-			inc.ReplayedWrites, scratch.ReplayedWrites)
-	}
-	t.Logf("replayed %d writes incrementally vs %d from scratch (%.1fx) over %d states",
-		inc.ReplayedWrites, scratch.ReplayedWrites,
-		float64(scratch.ReplayedWrites)/float64(inc.ReplayedWrites),
-		inc.StatesTotal+inc.ReorderStates)
 }
 
 // TestReorderCampaignCrossCheck is the acceptance gate for the campaign
@@ -280,25 +289,18 @@ func TestReorderCampaignCrossCheck(t *testing.T) {
 	if pruned.ReorderStates == 0 {
 		t.Fatal("reorder mode constructed no states")
 	}
-	if pruned.ReorderChecked+pruned.ReorderPruned+
-		pruned.ReorderClassSkipped+pruned.ReorderCommuteSkipped != pruned.ReorderStates {
-		t.Fatalf("reorder accounting broken: %d checked + %d pruned + %d class-skipped + %d commute-skipped != %d states",
-			pruned.ReorderChecked, pruned.ReorderPruned,
-			pruned.ReorderClassSkipped, pruned.ReorderCommuteSkipped, pruned.ReorderStates)
+	if pruned.ReorderChecked+pruned.ReorderPruned+pruned.ReorderClassSkipped != pruned.ReorderStates {
+		t.Fatalf("reorder accounting broken: %d checked + %d pruned + %d class-skipped != %d states",
+			pruned.ReorderChecked, pruned.ReorderPruned, pruned.ReorderClassSkipped, pruned.ReorderStates)
 	}
-	// -no-prune disables the verdict cache (no pruned, no class-skipped)
-	// but not commutativity pruning, which is cache-independent.
+	// -no-prune disables the verdict cache: no pruned, no class-skipped.
 	if plain.ReorderPruned != 0 || plain.ReorderClassSkipped != 0 ||
-		plain.ReorderChecked+plain.ReorderCommuteSkipped != plain.ReorderStates {
+		plain.ReorderChecked != plain.ReorderStates {
 		t.Fatalf("no-prune mode pruned reorder states: %+v", plain)
 	}
 	if pruned.ReorderStates != plain.ReorderStates {
 		t.Fatalf("modes saw different reorder spaces: %d vs %d",
 			pruned.ReorderStates, plain.ReorderStates)
-	}
-	if pruned.ReorderCommuteSkipped != plain.ReorderCommuteSkipped {
-		t.Fatalf("commute skips are cache-independent but diverged: %d vs %d",
-			pruned.ReorderCommuteSkipped, plain.ReorderCommuteSkipped)
 	}
 	if pruned.ReorderChecked >= plain.ReorderChecked {
 		t.Fatalf("pruning ran no fewer reorder recoveries: %d vs %d",
@@ -337,7 +339,8 @@ func TestReorderCampaignCrossCheck(t *testing.T) {
 
 // assertSameVerdicts requires the verdict-bearing counters of two runs of
 // one configuration to match exactly: oracle verdicts, space sizes, broken
-// states on both sweep axes, and byte-identical bug groups. It is the
+// states on both sweep axes, KV oracle classes, and byte-identical bug
+// groups. It is the
 // shared gate of the enumeration-time-pruning cross-checks — the split
 // between checked/pruned/skipped may differ between the runs, the verdicts
 // never may.
@@ -364,25 +367,34 @@ func assertSameVerdicts(t *testing.T, a, b *Stats) {
 				fa.Kind, fa.States, fa.Broken, fb.States, fb.Broken)
 		}
 	}
+	if a.KVClasses != b.KVClasses {
+		t.Fatalf("kv oracle classes diverged: %+v vs %+v", a.KVClasses, b.KVClasses)
+	}
 	assertSameGroups(t, a, b)
 }
 
 // TestClassPruneMatchesUnpruned is the verdict-equality gate for the
 // enumeration-time class-prune hoist on every registered backend: with
-// -no-class-prune every novel crash state is constructed before the verdict
-// cache is consulted, so any divergence in verdicts, bug groups, or space
-// sizes means the hoisted fingerprint classified a state the constructed
-// path would have judged differently.
+// NoClassPrune every novel crash state is constructed before the verdict
+// cache is consulted, so any divergence in verdicts, bug groups, KV oracle
+// classes, or space sizes means the hoisted fingerprint classified a state
+// the constructed path would have judged differently.
 func TestClassPruneMatchesUnpruned(t *testing.T) {
 	scenarios := []struct {
 		name string
 		cfg  Config
+		// skips requires the hoist to have class-skipped reorder states.
+		skips bool
 	}{
-		{"seq1-reorder2-faults", Config{Bounds: ace.Default(1), Reorder: 2, Faults: allFaultsModel}},
+		{"seq1-reorder2-faults", Config{Bounds: ace.Default(1), Reorder: 2, Faults: allFaultsModel}, false},
 		{"seq2-reorder1", Config{
 			Bounds:      linkBounds(workload.OpCreat, workload.OpLink),
 			SampleEvery: 5, MaxWorkloads: 2000, Reorder: 1,
-		}},
+		}, false},
+		{"kv-seq2-reorder1-corrupt", Config{
+			KV: kvBounds(t, "kv-seq2"), SampleEvery: 4, Reorder: 1,
+			Faults: blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultCorrupt}},
+		}, true},
 	}
 	for _, name := range fsmake.Names() {
 		for _, sc := range scenarios {
@@ -397,6 +409,9 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if sc.skips && hoisted.ReorderClassSkipped == 0 {
+					t.Fatalf("the hoist class-skipped no reorder states of %d", hoisted.ReorderStates)
+				}
 				off := base
 				off.NoClassPrune = true
 				plain, err := Run(off)
@@ -404,55 +419,14 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 					t.Fatal(err)
 				}
 				if plain.ReorderClassSkipped != 0 {
-					t.Fatalf("-no-class-prune still skipped %d reorder states", plain.ReorderClassSkipped)
+					t.Fatalf("NoClassPrune still skipped %d reorder states", plain.ReorderClassSkipped)
 				}
 				for _, fk := range plain.FaultKinds {
 					if fk.ClassSkipped != 0 {
-						t.Fatalf("-no-class-prune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
+						t.Fatalf("NoClassPrune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
 					}
 				}
 				assertSameVerdicts(t, hoisted, plain)
-			})
-		}
-	}
-}
-
-// TestCommutePruneMatchesUnpruned is the verdict-equality gate for reorder
-// commutativity pruning on every registered backend at k=1..2: with
-// -no-commute-prune every drop-set is constructed, including ones provably
-// identical to an earlier canonical drop-set. (On this corpus the skip
-// count is typically zero — every backend flushes each dirty block at most
-// once per epoch, see ARCHITECTURE.md — so the blockdev-level
-// TestCommutePruneInvariants/FuzzCommuteSkip carry the positive cases on
-// synthetic logs; this gate proves the escape hatch and the default agree
-// on real workloads.)
-func TestCommutePruneMatchesUnpruned(t *testing.T) {
-	for _, name := range fsmake.Names() {
-		for _, k := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/k=%d", name, k), func(t *testing.T) {
-				fs, err := fsmake.NewBugsOnly(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				base := Config{
-					FS:          fs,
-					Bounds:      linkBounds(workload.OpCreat, workload.OpRename),
-					SampleEvery: 5, MaxWorkloads: 2000, Reorder: k,
-				}
-				on, err := Run(base)
-				if err != nil {
-					t.Fatal(err)
-				}
-				off := base
-				off.NoCommutePrune = true
-				plain, err := Run(off)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if plain.ReorderCommuteSkipped != 0 {
-					t.Fatalf("-no-commute-prune still skipped %d states", plain.ReorderCommuteSkipped)
-				}
-				assertSameVerdicts(t, on, plain)
 			})
 		}
 	}
@@ -511,11 +485,9 @@ func TestReorderResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("reorder broken verdicts diverged after resume: %d vs %d",
 			resumed.ReorderBroken, uninterrupted.ReorderBroken)
 	}
-	if resumed.ReorderChecked+resumed.ReorderPruned+
-		resumed.ReorderClassSkipped+resumed.ReorderCommuteSkipped != resumed.ReorderStates {
-		t.Fatalf("resumed reorder accounting broken: %d + %d + %d + %d != %d",
-			resumed.ReorderChecked, resumed.ReorderPruned,
-			resumed.ReorderClassSkipped, resumed.ReorderCommuteSkipped, resumed.ReorderStates)
+	if resumed.ReorderChecked+resumed.ReorderPruned+resumed.ReorderClassSkipped != resumed.ReorderStates {
+		t.Fatalf("resumed reorder accounting broken: %d + %d + %d != %d",
+			resumed.ReorderChecked, resumed.ReorderPruned, resumed.ReorderClassSkipped, resumed.ReorderStates)
 	}
 	assertSameGroups(t, resumed, uninterrupted)
 
@@ -1031,8 +1003,8 @@ func shardedMergeVsUnsharded(t *testing.T, cfg Config, fss []filesys.FileSystem,
 		}
 		// Replayed writes are shard-stable only when class pruning is off:
 		// a class hit skips state construction entirely, and which states
-		// hit depends on the per-process cache contents. With -no-class-prune
-		// (or -no-prune) every state is constructed and the counter is exact.
+		// hit depends on the per-process cache contents. With NoClassPrune
+		// (or NoPrune) every state is constructed and the counter is exact.
 		if cfg.NoPrune || cfg.NoClassPrune {
 			if got.ReplayedWrites != want.ReplayedWrites {
 				t.Fatalf("%s: merged replay counter %d, unsharded %d",
@@ -1118,7 +1090,7 @@ func TestShardUnionMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// -no-class-prune here on purpose: it restores the exact replay-counter
+	// NoClassPrune here on purpose: it restores the exact replay-counter
 	// equality the helper can then assert (every state constructed).
 	sampled := Config{
 		Bounds:       linkBounds(workload.OpCreat, workload.OpLink),

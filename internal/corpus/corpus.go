@@ -244,12 +244,14 @@ type WorkloadRecord struct {
 	RChecked int `json:"rchecked,omitempty"`
 	RPruned  int `json:"rpruned,omitempty"`
 	RBroken  int `json:"rbroken,omitempty"`
-	// RClassSkip and RCommuteSkip split out the reorder states never
-	// constructed: enumeration-time class hits and drop-sets skipped as
-	// identical to an earlier canonical representative. Both are included
-	// in RStates. Additive fields: shards written before them load with
-	// zeros (their skips are inside RPruned/RChecked instead).
-	RClassSkip   int `json:"rclassskip,omitempty"`
+	// RClassSkip splits out the reorder states never constructed
+	// (enumeration-time class hits); it is included in RStates. Additive
+	// field: shards written before it load with zeros (their skips are
+	// inside RPruned/RChecked instead).
+	RClassSkip int `json:"rclassskip,omitempty"`
+	// RCommuteSkip is always zero: commutativity pruning was removed after
+	// it measured zero yield on every backend. The field is kept for the
+	// frozen benchmark module and the corpus record format.
 	RCommuteSkip int `json:"rcommuteskip,omitempty"`
 	// Replayed is the number of recorded writes replayed to construct the
 	// workload's crash states (checkpoint sweep plus reorder sweep). It is

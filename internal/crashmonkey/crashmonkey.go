@@ -41,8 +41,8 @@ type Monkey struct {
 	// overlay-scan fingerprint) per state, instead of the rolling
 	// ReplayCursor. It is the cross-check mode for the incremental engine —
 	// identical fingerprints and verdicts, strictly more replayed writes
-	// (docs/TESTING.md). Scratch mode also implies both No*Prune flags: the
-	// reference engine stays entirely unpruned.
+	// (docs/TESTING.md). Scratch mode also implies NoClassPrune: the
+	// reference engine constructs every state.
 	ScratchStates bool
 	// NoClassPrune disables enumeration-time class pruning: every crash
 	// state is constructed even when its fingerprint was already judged,
@@ -50,11 +50,6 @@ type Monkey struct {
 	// lookup. Cross-check mode — identical verdicts, strictly more
 	// constructed states.
 	NoClassPrune bool
-	// NoCommutePrune disables commutativity pruning of reorder drop-sets:
-	// drop-sets provably byte-identical to an earlier canonical one are
-	// constructed (or class-pruned) individually instead of being skipped at
-	// enumeration time. Cross-check mode — identical verdicts and reports.
-	NoCommutePrune bool
 	// Meter, when non-nil, counts block-level construction and read IO
 	// (writes replayed, blocks read, buffer bytes allocated).
 	Meter *blockdev.BlockMeter
@@ -314,97 +309,51 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 	if cp < 1 || cp > len(p.expectations) {
 		return nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, len(p.expectations))
 	}
-	res := &Result{Workload: p.Workload, FSName: mk.FS.Name(), Checkpoint: cp}
 	exp := p.expectations[cp-1]
-
-	// Class pruning hoists the cache lookup to before construction: the
-	// incremental cursor's fingerprint is O(1) after the seek, so a state
-	// whose (content, oracle) class was already judged is never forked at
-	// all. haveKey records that the hoisted lookup ran (and missed), so the
-	// post-construction lookup below is skipped rather than repeated.
-	var diskKey stateKey
-	var haveKey bool
-	var hit *cachedVerdict
-	var classified func(fp uint64) bool
-	if mk.Prune != nil && !mk.NoClassPrune {
-		classified = func(fp uint64) bool {
-			res.StateHash = fp
-			diskKey = stateKey{state: fp, oracle: exp.Fingerprint() ^ mk.pruneSalt()}
-			haveKey = true
-			v, ok := mk.Prune.classify(diskKey)
-			hit = v
-			return ok
-		}
-	}
-
-	replayStart := time.Now()
-	crash, replayed, err := p.state(cp, mk.ScratchStates, mk.Meter, classified)
+	cv, err := mk.judgeCheckpoint(p, cp, exp.Fingerprint()^mk.pruneSalt(),
+		func(crash *blockdev.Snapshot, oracle uint64) (*cachedVerdict, string, error) {
+			return mk.checkState(crash, exp, oracle)
+		})
 	if err != nil {
-		return nil, fmt.Errorf("crashmonkey: replay: %w", err)
+		return nil, err
 	}
-	res.ReplayedWrites = replayed
-	res.ReplayDur = time.Since(replayStart)
-	if crash == nil {
-		// The hoisted lookup hit: the verdict is reused without the state
-		// ever existing. Reported as a disk-tier prune — the verdict source
-		// is the same cache line; only the construction was saved.
-		res.Pruned = true
-		res.PrunedBy = "disk"
-		res.Mountable = hit.mountable
-		res.FsckRun = hit.fsckRun
-		res.FsckRepaired = hit.fsckRepaired
-		res.Findings = cloneFindings(hit.findings)
-		return res, nil
-	}
-	// Forks hold only recovery/checker writes; hand their buffers back to
-	// the pool once the verdict is composed (nothing below retains device
-	// memory: findings are strings, the index copies file contents).
-	defer crash.Release()
+	return &Result{
+		Workload:       p.Workload,
+		FSName:         mk.FS.Name(),
+		Checkpoint:     cp,
+		Mountable:      cv.v.mountable,
+		FsckRun:        cv.v.fsckRun,
+		FsckRepaired:   cv.v.fsckRepaired,
+		Findings:       cloneFindings(cv.v.findings),
+		ReplayDur:      cv.replayDur,
+		CheckDur:       cv.checkDur,
+		ReplayedWrites: cv.replayed,
+		StateHash:      cv.stateHash,
+		Pruned:         cv.prunedBy != "",
+		PrunedBy:       cv.prunedBy,
+	}, nil
+}
 
-	if mk.Prune != nil && !haveKey {
-		res.StateHash = crash.Fingerprint()
-		diskKey = stateKey{state: res.StateHash, oracle: exp.Fingerprint() ^ mk.pruneSalt()}
-		haveKey = true
-		if v, ok := mk.Prune.lookupDisk(diskKey); ok {
-			res.Pruned = true
-			res.PrunedBy = "disk"
-			res.Mountable = v.mountable
-			res.FsckRun = v.fsckRun
-			res.FsckRepaired = v.fsckRepaired
-			res.Findings = cloneFindings(v.findings)
-			return res, nil
-		}
-	}
-
-	checkStart := time.Now()
-	defer func() { res.CheckDur = time.Since(checkStart) }()
-
+// checkState renders the file-level verdict of one constructed crash state:
+// mount (fsck as the last resort, §5.1), then the read checks against exp
+// and the write checks. With pruning, distinct disk images recovering to
+// the same logical tree share a verdict through the tree tier (the
+// representative-testing insight), reported as "tree".
+func (mk *Monkey) checkState(crash *blockdev.Snapshot, exp *Expectation, oracle uint64) (*cachedVerdict, string, error) {
 	m, err := mk.FS.Mount(crash)
 	if err != nil {
 		if !errors.Is(err, filesys.ErrCorrupted) {
-			return nil, fmt.Errorf("crashmonkey: mount: %w", err)
+			return nil, "", fmt.Errorf("crashmonkey: mount: %w", err)
 		}
-		res.Mountable = false
-		res.Findings = append(res.Findings, Finding{
+		v := &cachedVerdict{fsckRun: true, findings: []Finding{{
 			Consequence: bugs.Unmountable,
 			Path:        "/",
 			Detail:      err.Error(),
-		})
-		// Last resort: fsck (§5.1).
-		res.FsckRun = true
+		}}}
 		repaired, ferr := mk.FS.Fsck(crash)
-		res.FsckRepaired = repaired && ferr == nil
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(diskKey, &cachedVerdict{
-				fsckRun:      true,
-				fsckRepaired: res.FsckRepaired,
-				findings:     cloneFindings(res.Findings),
-			})
-		}
-		return res, nil
+		v.fsckRepaired = repaired && ferr == nil
+		return v, "", nil
 	}
-	res.Mountable = true
 
 	// One walk of the recovered state feeds both the tree-tier hash and
 	// the read checks. The index (maps, inode slab, file contents) is
@@ -413,60 +362,41 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 	idx, ierr := buildIndex(m)
 	defer idx.release()
 
-	// Tree tier: distinct disk images recovering to the same logical tree
-	// share a verdict (the representative-testing insight).
 	var treeKey stateKey
 	haveTree := false
 	if mk.Prune != nil && ierr == nil {
 		if th, terr := hashIndex(idx); terr == nil {
-			treeKey = stateKey{state: th, oracle: diskKey.oracle}
-			haveTree = true
+			treeKey, haveTree = stateKey{state: th, oracle: oracle}, true
 			if findings, ok := mk.Prune.lookupTree(treeKey); ok {
-				res.Pruned = true
-				res.PrunedBy = "tree"
-				res.Findings = cloneFindings(findings)
-				mk.Prune.storeDisk(diskKey, &cachedVerdict{
-					mountable: true,
-					findings:  cloneFindings(findings),
-				})
-				return res, nil
+				return &cachedVerdict{mountable: true, findings: findings}, "tree", nil
 			}
 		}
 	}
 
+	var findings []Finding
 	if ierr != nil {
-		res.Findings = append(res.Findings, walkFailure(ierr))
+		findings = append(findings, walkFailure(ierr))
 	} else {
-		res.Findings = append(res.Findings, exp.checkReadIndexed(idx)...)
+		findings = append(findings, exp.checkReadIndexed(idx)...)
 	}
-
 	if !mk.SkipWriteChecks {
 		// Write checks are destructive: run them on a COW fork so the
 		// crash state itself is untouched.
 		fork := blockdev.NewSnapshot(crash)
-		fm, err := mk.FS.Mount(fork)
-		if err == nil {
-			res.Findings = append(res.Findings, CheckWrite(fm)...)
+		if fm, err := mk.FS.Mount(fork); err == nil {
+			findings = append(findings, CheckWrite(fm)...)
 		} else {
-			res.Findings = append(res.Findings, Finding{
+			findings = append(findings, Finding{
 				Consequence: bugs.Unmountable,
 				Path:        "/",
 				Detail:      fmt.Sprintf("write-check remount failed: %v", err),
 			})
 		}
 	}
-
-	if mk.Prune != nil {
-		mk.Prune.misses.Add(1)
-		if haveTree {
-			mk.Prune.storeTree(treeKey, cloneFindings(res.Findings))
-		}
-		mk.Prune.storeDisk(diskKey, &cachedVerdict{
-			mountable: true,
-			findings:  cloneFindings(res.Findings),
-		})
+	if haveTree {
+		mk.Prune.storeTree(treeKey, findings)
 	}
-	return res, nil
+	return &cachedVerdict{mountable: true, findings: findings}, "", nil
 }
 
 // Run profiles the workload and tests its final crash state. Per the §5.3

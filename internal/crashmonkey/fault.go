@@ -42,7 +42,8 @@ type FaultKindReport struct {
 	Pruned  int
 	// ClassSkipped counts states never constructed at all: the enumerator's
 	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (-no-class-prune restores construction).
+	// verdict was tallied directly (Monkey.NoClassPrune restores
+	// construction).
 	ClassSkipped int
 	// Mountable counts states that recovered without help; Repaired counts
 	// states that needed fsck and then mounted.
@@ -100,125 +101,21 @@ func (mk *Monkey) ExploreFaults(p *Profile, model blockdev.FaultModel) (*FaultRe
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	log := p.rec.Log()
-	epochs := blockdev.Epochs(log)
 	report := &FaultReport{SectorSize: model.Sector()}
 	for _, kind := range model.Kinds {
 		kr := FaultKindReport{Kind: kind}
-		salt := mk.pruneSalt() ^ faultOracleSalt(kind)
-
-		handle := func(desc string, crash *blockdev.Snapshot) (bool, error) {
-			kr.States++
-			var key stateKey
-			if mk.Prune != nil {
-				key = stateKey{state: crash.Fingerprint(), oracle: salt}
-				if v, ok := mk.Prune.lookupDisk(key); ok {
-					kr.Pruned++
-					kr.tally(desc, v)
-					return true, nil
-				}
-			}
-			kr.Checked++
-			v, err := mk.recoverReorderState(crash)
-			if err != nil {
-				return false, err
-			}
-			if mk.Prune != nil {
-				mk.Prune.misses.Add(1)
-				mk.Prune.storeDisk(key, v)
-			}
-			kr.tally(desc, v)
-			return true, nil
+		s, err := mk.sweep(p, faultSpace(kind, model), mk.mountJudge(mk.pruneSalt()^faultOracleSalt(kind), kr.tally))
+		if err != nil {
+			return nil, fmt.Errorf("crashmonkey: %s sweep: %w", kind, err)
 		}
-
-		var sweepErr error
-		if mk.ScratchStates {
-			// Cross-check engine: every state from a fresh snapshot,
-			// replaying all prior epochs.
-			err := blockdev.ForEachFaultState(log, kind, model.Sector(),
-				func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
-					crash := blockdev.NewSnapshot(p.base)
-					crash.SetMeter(mk.Meter)
-					if err := apply(crash); err != nil {
-						sweepErr = err
-						return false
-					}
-					kr.ReplayedWrites += scratchFaultReplayCost(epochs, st)
-					ok, herr := handle(st.Desc, crash)
-					if herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return ok
-				})
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-			if mk.Meter != nil {
-				mk.Meter.BlocksReplayed.Add(kr.ReplayedWrites)
-			}
-		} else {
-			// Enumeration-time class pruning: a state whose delta
-			// fingerprint matched an already-judged class is tallied from
-			// the cached verdict without ever being built. Skipped states
-			// still count toward States with their own Desc, so the report
-			// stays byte-identical with the escape-hatch modes.
-			var opts blockdev.FaultEnumOpts
-			if mk.Prune != nil && !mk.NoClassPrune {
-				opts.Seen = func(st blockdev.FaultState, fp uint64) bool {
-					key := stateKey{state: fp, oracle: salt}
-					v, ok := mk.Prune.classify(key)
-					if !ok {
-						return false
-					}
-					kr.States++
-					kr.ClassSkipped++
-					kr.tally(st.Desc, v)
-					return true
-				}
-			}
-			stats, err := blockdev.ForEachFaultStatePruned(p.base, log, kind, model.Sector(), opts, mk.Meter,
-				func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-					ok, herr := handle(st.Desc, crash)
-					if herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return ok
-				})
-			kr.ReplayedWrites = stats.Replayed
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-		}
-		if sweepErr != nil {
-			return nil, fmt.Errorf("crashmonkey: %s sweep: %w", kind, sweepErr)
-		}
+		s.intoFault(&kr)
 		report.Kinds = append(report.Kinds, kr)
 	}
 	return report, nil
 }
 
-// scratchFaultReplayCost is the number of writes the from-scratch engine
-// replays to construct st: every write of the epochs before it, the
-// in-flight prefix, and the injected torn/corrupting write when the state
-// carries one (a misdirected write is part of the prefix count).
-func scratchFaultReplayCost(epochs []blockdev.Epoch, st blockdev.FaultState) int64 {
-	var n int64
-	for e := 0; e < st.Epoch && e < len(epochs); e++ {
-		n += int64(len(epochs[e].Writes))
-	}
-	if st.Epoch >= 0 && st.Epoch < len(epochs) {
-		n += int64(st.Applied)
-		if st.Write >= 0 && st.Kind != blockdev.FaultMisdirect {
-			n++
-		}
-	}
-	return n
-}
-
 // tally folds one state verdict into the kind's report.
-func (kr *FaultKindReport) tally(desc string, v *cachedVerdict) {
+func (kr *FaultKindReport) tally(_ int, desc string, v *cachedVerdict) {
 	switch {
 	case v.mountable:
 		kr.Mountable++

@@ -287,78 +287,34 @@ func (mk *Monkey) TestKVCheckpoint(kp *KVProfile, cp int) (*KVResult, error) {
 	if cp < 1 || cp >= len(kp.exps) {
 		return nil, fmt.Errorf("crashmonkey: kv checkpoint %d out of range (1..%d)", cp, len(kp.exps)-1)
 	}
-	res := &KVResult{Workload: kp.Workload, FSName: mk.FS.Name(), Checkpoint: cp}
 	exp := kp.exps[cp]
-
-	// Class pruning hoists the cache lookup to before construction, exactly
-	// as TestCheckpoint does for the file-level oracle.
-	var diskKey stateKey
-	var haveKey bool
-	var hit *cachedVerdict
-	var classified func(fp uint64) bool
-	oracle := exp.Fingerprint() ^ mk.pruneSalt() ^ kvOracleSalt
-	if mk.Prune != nil && !mk.NoClassPrune {
-		classified = func(fp uint64) bool {
-			res.StateHash = fp
-			diskKey = stateKey{state: fp, oracle: oracle}
-			haveKey = true
-			v, ok := mk.Prune.classify(diskKey)
-			hit = v
-			return ok
-		}
-	}
-
-	replayStart := time.Now()
-	crash, replayed, err := kp.prof.state(cp, mk.ScratchStates, mk.Meter, classified)
-	if err != nil {
-		return nil, fmt.Errorf("crashmonkey: kv replay: %w", err)
-	}
-	res.ReplayedWrites = replayed
-	res.ReplayDur = time.Since(replayStart)
-	fill := func(v *cachedVerdict) {
-		res.Mountable = v.mountable
-		res.FsckRun = v.fsckRun
-		res.FsckRepaired = v.fsckRepaired
-		res.Findings = cloneFindings(v.findings)
-		res.Class = kvClass(v.findings)
-	}
-	if crash == nil {
-		res.Pruned = true
-		res.PrunedBy = "disk"
-		fill(hit)
-		return res, nil
-	}
-	defer crash.Release()
-
-	if mk.Prune != nil && !haveKey {
-		res.StateHash = crash.Fingerprint()
-		diskKey = stateKey{state: res.StateHash, oracle: oracle}
-		haveKey = true
-		if v, ok := mk.Prune.lookupDisk(diskKey); ok {
-			res.Pruned = true
-			res.PrunedBy = "disk"
-			fill(v)
-			return res, nil
-		}
-	}
-
-	checkStart := time.Now()
-	v, err := mk.recoverKVState(crash, exp)
-	res.CheckDur = time.Since(checkStart)
-	if err != nil {
-		return nil, fmt.Errorf("crashmonkey: kv recover: %w", err)
-	}
-	if mk.Prune != nil {
-		mk.Prune.misses.Add(1)
-		mk.Prune.storeDisk(diskKey, &cachedVerdict{
-			mountable:    v.mountable,
-			fsckRun:      v.fsckRun,
-			fsckRepaired: v.fsckRepaired,
-			findings:     cloneFindings(v.findings),
+	cv, err := mk.judgeCheckpoint(kp.prof, cp, exp.Fingerprint()^mk.pruneSalt()^kvOracleSalt,
+		func(crash *blockdev.Snapshot, _ uint64) (*cachedVerdict, string, error) {
+			v, err := mk.recoverKVState(crash, exp)
+			if err != nil {
+				return nil, "", fmt.Errorf("crashmonkey: kv recover: %w", err)
+			}
+			return v, "", nil
 		})
+	if err != nil {
+		return nil, err
 	}
-	fill(v)
-	return res, nil
+	return &KVResult{
+		Workload:       kp.Workload,
+		FSName:         mk.FS.Name(),
+		Checkpoint:     cp,
+		Mountable:      cv.v.mountable,
+		FsckRun:        cv.v.fsckRun,
+		FsckRepaired:   cv.v.fsckRepaired,
+		Class:          kvClass(cv.v.findings),
+		Findings:       cloneFindings(cv.v.findings),
+		ReplayedWrites: cv.replayed,
+		ReplayDur:      cv.replayDur,
+		CheckDur:       cv.checkDur,
+		StateHash:      cv.stateHash,
+		Pruned:         cv.prunedBy != "",
+		PrunedBy:       cv.prunedBy,
+	}, nil
 }
 
 // RunKV profiles the KV workload and tests its final crash state (the §5.3
@@ -481,89 +437,45 @@ func tallyKV(v *cachedVerdict, counts *kvoracle.Counts, examples *[]Finding) {
 	}
 }
 
+// kvJudge is the application-oracle judge: each state is recovered by the
+// store and classified against the expectation of the persistence interval
+// it is in flight during. Verdicts are cached per (state, interval
+// expectation), so the class-prune hoist applies exactly as for the
+// file-level sweeps. salt is the sweep's oracle salt; tally folds the
+// file-level recovery accounting, counts and examples the oracle classes.
+func (mk *Monkey) kvJudge(kp *KVProfile, salt uint64, tally func(epoch int, desc string, v *cachedVerdict),
+	counts *kvoracle.Counts, examples *[]Finding) judge {
+
+	intervals := checkpointIntervals(kp.prof.rec.Log())
+	return judge{
+		salt: func(epoch int) uint64 {
+			return salt ^ kvOracleSalt ^ kp.expForEpoch(intervals, epoch).Fingerprint()
+		},
+		recover: func(crash blockdev.Device, epoch int) (*cachedVerdict, error) {
+			return mk.recoverKVState(crash, kp.expForEpoch(intervals, epoch))
+		},
+		tally: func(epoch int, desc string, v *cachedVerdict) {
+			tally(epoch, desc, v)
+			tallyKV(v, counts, examples)
+		},
+	}
+}
+
 // ExploreKVReorder sweeps the bounded-reordering crash states of a profiled
 // KV run at bound k, classifying every recoverable state through the
-// application oracle. Verdicts are cached per (state, interval expectation)
-// in the shared disk tier; enumeration-time class pruning is left to the
-// post-construction lookup because the expectation varies per epoch.
+// application oracle.
 func (mk *Monkey) ExploreKVReorder(kp *KVProfile, k int) (*KVReorderReport, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("crashmonkey: negative reorder bound %d", k)
+	rr, err := newReorderReport(kp.prof, k)
+	if err != nil {
+		return nil, err
 	}
-	log := kp.prof.rec.Log()
-	epochs := blockdev.Epochs(log)
-	intervals := checkpointIntervals(log)
-	report := &KVReorderReport{ReorderReport: ReorderReport{Bound: k, PerEpoch: make([]ReorderEpoch, len(epochs))}}
-	for i, ep := range epochs {
-		report.PerEpoch[i].Writes = len(ep.Writes)
+	report := &KVReorderReport{ReorderReport: *rr}
+	s, err := mk.sweep(kp.prof, space{k: k},
+		mk.kvJudge(kp, mk.pruneSalt()^reorderOracleSalt, report.tally, &report.Classes, &report.Examples))
+	if err != nil {
+		return nil, err
 	}
-
-	handle := func(st blockdev.ReorderState, crash *blockdev.Snapshot) error {
-		report.States++
-		exp := kp.expForEpoch(intervals, st.Epoch)
-		var key stateKey
-		if mk.Prune != nil {
-			key = stateKey{
-				state:  crash.Fingerprint(),
-				oracle: mk.pruneSalt() ^ reorderOracleSalt ^ kvOracleSalt ^ exp.Fingerprint(),
-			}
-			if v, ok := mk.Prune.lookupDisk(key); ok {
-				report.Pruned++
-				report.tally(st, v)
-				tallyKV(v, &report.Classes, &report.Examples)
-				return nil
-			}
-		}
-		report.Checked++
-		v, err := mk.recoverKVState(crash, exp)
-		if err != nil {
-			return err
-		}
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(key, v)
-		}
-		report.tally(st, v)
-		tallyKV(v, &report.Classes, &report.Examples)
-		return nil
-	}
-
-	var sweepErr error
-	if mk.ScratchStates {
-		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) error) bool {
-			crash := blockdev.NewSnapshot(kp.prof.base)
-			crash.SetMeter(mk.Meter)
-			if err := apply(crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			report.ReplayedWrites += scratchReplayCost(epochs, st)
-			if err := handle(st, crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			return true
-		})
-		if mk.Meter != nil {
-			mk.Meter.BlocksReplayed.Add(report.ReplayedWrites)
-		}
-	} else {
-		stats, err := blockdev.ForEachReorderStatePruned(kp.prof.base, log, k, blockdev.ReorderEnumOpts{}, mk.Meter,
-			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				if err := handle(st, crash); err != nil {
-					sweepErr = err
-					return false
-				}
-				return true
-			})
-		report.ReplayedWrites = stats.Replayed
-		if err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if sweepErr != nil {
-		return nil, sweepErr
-	}
+	s.intoReorder(&report.ReorderReport)
 	return report, nil
 }
 
@@ -574,81 +486,15 @@ func (mk *Monkey) ExploreKVFaults(kp *KVProfile, model blockdev.FaultModel) (*KV
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	log := kp.prof.rec.Log()
-	epochs := blockdev.Epochs(log)
-	intervals := checkpointIntervals(log)
 	report := &KVFaultReport{SectorSize: model.Sector()}
 	for _, kind := range model.Kinds {
 		kr := KVFaultKindReport{FaultKindReport: FaultKindReport{Kind: kind}}
-		salt := mk.pruneSalt() ^ faultOracleSalt(kind) ^ kvOracleSalt
-
-		handle := func(st blockdev.FaultState, crash *blockdev.Snapshot) error {
-			kr.States++
-			exp := kp.expForEpoch(intervals, st.Epoch)
-			var key stateKey
-			if mk.Prune != nil {
-				key = stateKey{state: crash.Fingerprint(), oracle: salt ^ exp.Fingerprint()}
-				if v, ok := mk.Prune.lookupDisk(key); ok {
-					kr.Pruned++
-					kr.tally(st.Desc, v)
-					tallyKV(v, &kr.Classes, &kr.Examples)
-					return nil
-				}
-			}
-			kr.Checked++
-			v, err := mk.recoverKVState(crash, exp)
-			if err != nil {
-				return err
-			}
-			if mk.Prune != nil {
-				mk.Prune.misses.Add(1)
-				mk.Prune.storeDisk(key, v)
-			}
-			kr.tally(st.Desc, v)
-			tallyKV(v, &kr.Classes, &kr.Examples)
-			return nil
+		s, err := mk.sweep(kp.prof, faultSpace(kind, model),
+			mk.kvJudge(kp, mk.pruneSalt()^faultOracleSalt(kind), kr.tally, &kr.Classes, &kr.Examples))
+		if err != nil {
+			return nil, fmt.Errorf("crashmonkey: kv %s sweep: %w", kind, err)
 		}
-
-		var sweepErr error
-		if mk.ScratchStates {
-			err := blockdev.ForEachFaultState(log, kind, model.Sector(),
-				func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
-					crash := blockdev.NewSnapshot(kp.prof.base)
-					crash.SetMeter(mk.Meter)
-					if err := apply(crash); err != nil {
-						sweepErr = err
-						return false
-					}
-					kr.ReplayedWrites += scratchFaultReplayCost(epochs, st)
-					if herr := handle(st, crash); herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return true
-				})
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-			if mk.Meter != nil {
-				mk.Meter.BlocksReplayed.Add(kr.ReplayedWrites)
-			}
-		} else {
-			stats, err := blockdev.ForEachFaultStatePruned(kp.prof.base, log, kind, model.Sector(), blockdev.FaultEnumOpts{}, mk.Meter,
-				func(st blockdev.FaultState, crash *blockdev.Snapshot) bool {
-					if herr := handle(st, crash); herr != nil {
-						sweepErr = herr
-						return false
-					}
-					return true
-				})
-			kr.ReplayedWrites = stats.Replayed
-			if err != nil && sweepErr == nil {
-				sweepErr = err
-			}
-		}
-		if sweepErr != nil {
-			return nil, fmt.Errorf("crashmonkey: kv %s sweep: %w", kind, sweepErr)
-		}
+		s.intoFault(&kr.FaultKindReport)
 		report.Kinds = append(report.Kinds, kr)
 	}
 	return report, nil

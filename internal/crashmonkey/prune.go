@@ -103,12 +103,14 @@ func (s PruneStats) Evictions() int64 { return s.DiskEvictions + s.TreeEvictions
 // with every distinct crash state.
 const DefaultPruneCap = 1 << 17
 
-// lruTier is one bounded LRU map from stateKey to a cached value. Not
-// concurrency-safe; PruneCache serializes access.
+// lruTier is one bounded LRU map from stateKey to a cached value, plus the
+// table of keys whose check is in flight. Not concurrency-safe; PruneCache
+// serializes access.
 type lruTier[V any] struct {
-	cap     int
-	ll      *list.List // front = most recently used; holds *lruEntry[V]
-	entries map[stateKey]*list.Element
+	cap      int
+	ll       *list.List // front = most recently used; holds *lruEntry[V]
+	entries  map[stateKey]*list.Element
+	inflight map[stateKey]*flight[V]
 }
 
 type lruEntry[V any] struct {
@@ -116,8 +118,17 @@ type lruEntry[V any] struct {
 	val V
 }
 
+// flight is one in-progress check of a key. Waiters block on done, then
+// reuse val when ok, or retry the claim when the leader abandoned the key.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+	ok   bool
+}
+
 func newLRUTier[V any](cap int) *lruTier[V] {
-	return &lruTier[V]{cap: cap, ll: list.New(), entries: make(map[stateKey]*list.Element)}
+	return &lruTier[V]{cap: cap, ll: list.New(), entries: make(map[stateKey]*list.Element),
+		inflight: make(map[stateKey]*flight[V])}
 }
 
 func (t *lruTier[V]) get(k stateKey) (V, bool) {
@@ -147,7 +158,45 @@ func (t *lruTier[V]) add(k stateKey, v V) int {
 	return evicted
 }
 
+// resolve ends k's flight, if one is running: waiters wake and reuse v when
+// ok, or retry the claim when the leader abandoned the key.
+func (t *lruTier[V]) resolve(k stateKey, v V, ok bool) {
+	if f := t.inflight[k]; f != nil {
+		delete(t.inflight, k)
+		f.val, f.ok = v, ok
+		close(f.done)
+	}
+}
+
 func (t *lruTier[V]) len() int { return t.ll.Len() }
+
+// claim is the single-flight lookup of one tier: it returns the cached
+// value for k, first waiting out a check of k that another caller is
+// running. On a miss the caller becomes k's leader and must end the flight
+// with the tier's store (or abandon on error) — so concurrent misses on
+// one key run one check, and the number of checks equals the number of
+// distinct keys whatever the interleaving.
+func claim[V any](mu *sync.Mutex, t *lruTier[V], k stateKey) (V, bool) {
+	for {
+		mu.Lock()
+		if v, ok := t.get(k); ok {
+			mu.Unlock()
+			return v, true
+		}
+		f := t.inflight[k]
+		if f == nil {
+			t.inflight[k] = &flight[V]{done: make(chan struct{})}
+			mu.Unlock()
+			var zero V
+			return zero, false
+		}
+		mu.Unlock()
+		<-f.done
+		if f.ok {
+			return f.val, true
+		}
+	}
+}
 
 // PruneCache is a concurrency-safe verdict cache for representative
 // crash-state pruning. The zero value is not usable; use NewPruneCache or
@@ -155,7 +204,9 @@ func (t *lruTier[V]) len() int { return t.ll.Len() }
 // arbitrarily long campaigns, and an evicted (state, oracle) pair that
 // recurs is re-checked — eviction is always verdict-preserving. Entries
 // hold only keys and findings (nil for clean states), so even the default
-// cap costs a few tens of MB at worst.
+// cap costs a few tens of MB at worst. Lookups are single-flight: a miss on
+// a key another caller is already checking waits for that check and reuses
+// its verdict.
 type PruneCache struct {
 	mu   sync.Mutex
 	disk *lruTier[*cachedVerdict]
@@ -208,18 +259,19 @@ func (c *PruneCache) Stats() PruneStats {
 	}
 }
 
+// lookupDisk is the single-flight disk-tier lookup (see claim). A miss
+// makes the caller the key's leader: it must call storeDisk or abandonDisk.
 func (c *PruneCache) lookupDisk(k stateKey) (*cachedVerdict, bool) {
-	c.mu.Lock()
-	v, ok := c.disk.get(k)
-	c.mu.Unlock()
+	v, ok := claim(&c.mu, c.disk, k)
 	if ok {
 		c.diskHits.Add(1)
 	}
 	return v, ok
 }
 
-// classify implements ClassIndex: a disk-tier lookup counted as an
-// enumeration-time class skip.
+// classify implements ClassIndex: a non-blocking disk-tier lookup counted
+// as an enumeration-time class skip. A key still in flight reads as a miss;
+// the state is then constructed and its lookupDisk waits for the verdict.
 func (c *PruneCache) classify(k stateKey) (*cachedVerdict, bool) {
 	c.mu.Lock()
 	v, ok := c.disk.get(k)
@@ -230,28 +282,41 @@ func (c *PruneCache) classify(k stateKey) (*cachedVerdict, bool) {
 	return v, ok
 }
 
+// lookupTree is the single-flight tree-tier lookup; a miss makes the caller
+// the key's leader, which must call storeTree.
 func (c *PruneCache) lookupTree(k stateKey) ([]Finding, bool) {
-	c.mu.Lock()
-	fs, ok := c.tree.get(k)
-	c.mu.Unlock()
+	fs, ok := claim(&c.mu, c.tree, k)
 	if ok {
 		c.treeHits.Add(1)
 	}
 	return fs, ok
 }
 
+// storeDisk caches a verdict and wakes the callers waiting on its key.
 func (c *PruneCache) storeDisk(k stateKey, v *cachedVerdict) {
 	c.mu.Lock()
 	evicted := c.disk.add(k, v)
+	c.disk.resolve(k, v, true)
 	c.mu.Unlock()
 	if evicted > 0 {
 		c.diskEvictions.Add(int64(evicted))
 	}
 }
 
+// abandonDisk ends a lookupDisk leadership whose check failed: waiters
+// retry, and one of them takes the check over.
+func (c *PruneCache) abandonDisk(k stateKey) {
+	c.mu.Lock()
+	c.disk.resolve(k, nil, false)
+	c.mu.Unlock()
+}
+
+// storeTree caches a tree-tier verdict and wakes the callers waiting on its
+// key.
 func (c *PruneCache) storeTree(k stateKey, findings []Finding) {
 	c.mu.Lock()
 	evicted := c.tree.add(k, findings)
+	c.tree.resolve(k, findings, true)
 	c.mu.Unlock()
 	if evicted > 0 {
 		c.treeEvictions.Add(int64(evicted))

@@ -2,7 +2,10 @@ package crashmonkey
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"b3/internal/ace"
 	"b3/internal/filesys"
@@ -197,5 +200,86 @@ func TestPruneCrossCheckSeq1(t *testing.T) {
 			t.Logf("%d workloads: %d checks, %d skipped (%d disk, %d tree), %d evicted",
 				n, st.Misses, st.Skipped(), st.DiskHits, st.TreeHits, st.Evictions())
 		})
+	}
+}
+
+// TestPruneCacheSingleFlight: concurrent misses on one key run one check —
+// the others wait for the leader's verdict and reuse it — and a leader that
+// abandons its key hands it to exactly one waiter. Every assertion holds
+// for any interleaving; run with -race -count to vary them.
+func TestPruneCacheSingleFlight(t *testing.T) {
+	const n = 8
+	// race starts n goroutines together, each running f, and waits for them.
+	race := func(f func()) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				f()
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	// check stands in for a real recovery + oracle check: it takes long
+	// enough that the other callers reach the cache while it runs.
+	check := func() { time.Sleep(5 * time.Millisecond) }
+	c := NewPruneCache()
+
+	var leaders atomic.Int64
+	want := &cachedVerdict{mountable: true}
+	k := stateKey{state: 1, oracle: 2}
+	race(func() {
+		v, ok := c.lookupDisk(k)
+		if !ok {
+			leaders.Add(1)
+			check()
+			c.storeDisk(k, want)
+		} else if v != want {
+			t.Errorf("waiter got %+v, want the leader's verdict", v)
+		}
+	})
+	if leaders.Load() != 1 || c.Stats().DiskHits != n-1 {
+		t.Fatalf("%d checks and %d hits for one key, want 1 and %d",
+			leaders.Load(), c.Stats().DiskHits, n-1)
+	}
+
+	// The first leader abandons its key; exactly one other caller takes
+	// the check over and everyone else reuses that verdict.
+	leaders.Store(0)
+	var abandoned atomic.Bool
+	k2 := stateKey{state: 3, oracle: 4}
+	race(func() {
+		if _, ok := c.lookupDisk(k2); !ok {
+			if abandoned.CompareAndSwap(false, true) {
+				check()
+				c.abandonDisk(k2)
+				return
+			}
+			leaders.Add(1)
+			check()
+			c.storeDisk(k2, want)
+		}
+	})
+	if leaders.Load() != 1 {
+		t.Fatalf("%d callers took over the abandoned key, want 1", leaders.Load())
+	}
+
+	// The tree tier is single-flight too.
+	leaders.Store(0)
+	tk := stateKey{state: 5, oracle: 6}
+	race(func() {
+		if _, ok := c.lookupTree(tk); !ok {
+			leaders.Add(1)
+			check()
+			c.storeTree(tk, []Finding{{Path: "/foo"}})
+		}
+	})
+	if leaders.Load() != 1 || c.Stats().TreeHits != n-1 {
+		t.Fatalf("%d tree checks and %d hits for one key, want 1 and %d",
+			leaders.Load(), c.Stats().TreeHits, n-1)
 	}
 }

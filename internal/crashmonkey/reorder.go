@@ -60,11 +60,12 @@ type ReorderReport struct {
 	Pruned  int
 	// ClassSkipped counts states never constructed at all: the enumerator's
 	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (-no-class-prune restores construction).
+	// verdict was tallied directly (Monkey.NoClassPrune restores
+	// construction).
 	ClassSkipped int
-	// CommuteSkipped counts drop-set states skipped as provably
-	// byte-identical to an earlier canonical representative, tallied with
-	// the representative's verdict (-no-commute-prune restores them).
+	// CommuteSkipped is always zero: commutativity pruning was removed after
+	// it measured zero yield on every backend. The field is kept for the
+	// frozen benchmark module and the corpus record format.
 	CommuteSkipped int
 	// Mountable counts states that recovered without help; Repaired counts
 	// states that needed fsck and then mounted.
@@ -91,155 +92,30 @@ func (r *ReorderReport) Clean() bool { return len(r.Broken) == 0 }
 // verdict is reused — identical Broken verdicts, strictly fewer recoveries
 // run.
 func (mk *Monkey) ExploreReorder(p *Profile, k int) (*ReorderReport, error) {
+	report, err := newReorderReport(p, k)
+	if err != nil {
+		return nil, err
+	}
+	s, err := mk.sweep(p, space{k: k}, mk.mountJudge(mk.pruneSalt()^reorderOracleSalt, report.tally))
+	if err != nil {
+		return nil, err
+	}
+	s.intoReorder(report)
+	return report, nil
+}
+
+// newReorderReport returns the empty report of a bound-k sweep over p, with
+// one PerEpoch row per IO epoch.
+func newReorderReport(p *Profile, k int) (*ReorderReport, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("crashmonkey: negative reorder bound %d", k)
 	}
-	log := p.rec.Log()
-	epochs := blockdev.Epochs(log)
+	epochs := blockdev.Epochs(p.rec.Log())
 	report := &ReorderReport{Bound: k, PerEpoch: make([]ReorderEpoch, len(epochs))}
 	for i, ep := range epochs {
 		report.PerEpoch[i].Writes = len(ep.Writes)
 	}
-
-	// handle judges one constructed state and returns its verdict:
-	// fingerprints come from the snapshot (O(1) on the incremental path, an
-	// overlay scan on the scratch path — same value either way).
-	handle := func(st blockdev.ReorderState, crash *blockdev.Snapshot) (*cachedVerdict, error) {
-		report.States++
-		var key stateKey
-		if mk.Prune != nil {
-			key = stateKey{state: crash.Fingerprint(), oracle: mk.pruneSalt() ^ reorderOracleSalt}
-			if v, ok := mk.Prune.lookupDisk(key); ok {
-				report.Pruned++
-				report.tally(st, v)
-				return v, nil
-			}
-		}
-		report.Checked++
-		v, err := mk.recoverReorderState(crash)
-		if err != nil {
-			return nil, err
-		}
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(key, v)
-		}
-		report.tally(st, v)
-		return v, nil
-	}
-
-	var sweepErr error
-	if mk.ScratchStates {
-		// Cross-check engine: every state from a fresh snapshot, replaying
-		// all prior epochs (the pre-cursor behaviour), no enumeration-time
-		// pruning of any kind.
-		blockdev.ForEachReorderState(log, k, func(st blockdev.ReorderState, apply func(blockdev.Device) error) bool {
-			crash := blockdev.NewSnapshot(p.base)
-			crash.SetMeter(mk.Meter)
-			if err := apply(crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			report.ReplayedWrites += scratchReplayCost(epochs, st)
-			if _, err := handle(st, crash); err != nil {
-				sweepErr = err
-				return false
-			}
-			return true
-		})
-		if mk.Meter != nil {
-			mk.Meter.BlocksReplayed.Add(report.ReplayedWrites)
-		}
-	} else {
-		// Enumeration-time pruning: class hits are tallied from the O(1)
-		// delta fingerprint before any state is built, and commute skips
-		// reuse the verdict their canonical representative was given. Every
-		// skipped state still counts toward States and tally with its own
-		// Desc, so the report (Broken list included) stays byte-identical
-		// with the escape-hatch modes.
-		commute := !mk.NoCommutePrune
-		// reps maps drop-set Desc -> verdict for the current epoch:
-		// canonical representatives always precede their skips within one
-		// epoch, so the map resets on epoch change.
-		var reps map[string]*cachedVerdict
-		repEpoch := -2
-		repsFor := func(epoch int) map[string]*cachedVerdict {
-			if epoch != repEpoch {
-				reps = make(map[string]*cachedVerdict)
-				repEpoch = epoch
-			}
-			return reps
-		}
-		var opts blockdev.ReorderEnumOpts
-		if commute {
-			opts.Commute = true
-			opts.OnCommuteSkip = func(st blockdev.ReorderState, repDesc string) {
-				v := repsFor(st.Epoch)[repDesc]
-				if v == nil {
-					if sweepErr == nil {
-						sweepErr = fmt.Errorf("crashmonkey: commute representative %q of %q has no verdict", repDesc, st.Desc)
-					}
-					return
-				}
-				report.States++
-				report.CommuteSkipped++
-				report.tally(st, v)
-			}
-		}
-		if mk.Prune != nil && !mk.NoClassPrune {
-			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool {
-				key := stateKey{state: fp, oracle: mk.pruneSalt() ^ reorderOracleSalt}
-				v, ok := mk.Prune.classify(key)
-				if !ok {
-					return false
-				}
-				report.States++
-				report.ClassSkipped++
-				report.tally(st, v)
-				if commute && st.Dropped != nil {
-					repsFor(st.Epoch)[st.Desc] = v
-				}
-				return true
-			}
-		}
-		stats, err := blockdev.ForEachReorderStatePruned(p.base, log, k, opts, mk.Meter,
-			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool {
-				if sweepErr != nil {
-					return false
-				}
-				v, herr := handle(st, crash)
-				if herr != nil {
-					sweepErr = herr
-					return false
-				}
-				if commute && st.Dropped != nil {
-					repsFor(st.Epoch)[st.Desc] = v
-				}
-				return true
-			})
-		report.ReplayedWrites = stats.Replayed
-		if err != nil && sweepErr == nil {
-			sweepErr = err
-		}
-	}
-	if sweepErr != nil {
-		return nil, sweepErr
-	}
 	return report, nil
-}
-
-// scratchReplayCost is the number of writes the from-scratch engine replays
-// to construct st: every write of the epochs before it plus the in-flight
-// prefix or surviving subset.
-func scratchReplayCost(epochs []blockdev.Epoch, st blockdev.ReorderState) int64 {
-	var n int64
-	for e := 0; e < st.Epoch && e < len(epochs); e++ {
-		n += int64(len(epochs[e].Writes))
-	}
-	if st.Epoch >= 0 && st.Epoch < len(epochs) {
-		n += int64(st.Applied - len(st.Dropped))
-	}
-	return n
 }
 
 // recoverReorderState mounts the crash state, falling back to fsck plus a
@@ -261,10 +137,10 @@ func (mk *Monkey) recoverReorderState(crash blockdev.Device) (*cachedVerdict, er
 }
 
 // tally folds one state verdict into the report.
-func (r *ReorderReport) tally(st blockdev.ReorderState, v *cachedVerdict) {
-	inEpoch := st.Epoch >= 0 && st.Epoch < len(r.PerEpoch)
+func (r *ReorderReport) tally(epoch int, desc string, v *cachedVerdict) {
+	inEpoch := epoch >= 0 && epoch < len(r.PerEpoch)
 	if inEpoch {
-		r.PerEpoch[st.Epoch].States++
+		r.PerEpoch[epoch].States++
 	}
 	switch {
 	case v.mountable:
@@ -272,9 +148,9 @@ func (r *ReorderReport) tally(st blockdev.ReorderState, v *cachedVerdict) {
 	case v.fsckRepaired:
 		r.Repaired++
 	default:
-		r.Broken = append(r.Broken, st.Desc)
+		r.Broken = append(r.Broken, desc)
 		if inEpoch {
-			r.PerEpoch[st.Epoch].Broken++
+			r.PerEpoch[epoch].Broken++
 		}
 	}
 }

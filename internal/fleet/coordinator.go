@@ -14,6 +14,10 @@
 //	   │                   │  adopted as done instead of re-issued
 //	   └──── release ◀─────┘  worker's own request (shutdown, zombie shard)
 //
+//	pending ── adopt ──▶ done   an expired or released class whose former
+//	                            holder went on to write every DoneRecord
+//	                            (re-checked on every expiry tick)
+//
 //	pending ── split (under recorded demand) ──▶ two pending children
 package fleet
 
@@ -63,6 +67,9 @@ type classInfo struct {
 	worker   string
 	deadline time.Time
 	progress Progress
+	// orphaned marks a class that returned to pending by expiry or release:
+	// its former holder may still be sweeping it and write its DoneRecords.
+	orphaned bool
 }
 
 // Coordinator owns the lease table and serves the worker pull protocol.
@@ -82,6 +89,10 @@ type Coordinator struct {
 
 	tickStop chan struct{}
 	tickDone chan struct{}
+
+	// now is the clock lease deadlines are measured on; tests replace it to
+	// drive expiry deterministically.
+	now func() time.Time
 }
 
 // NewCoordinator opens (or replays) the ledger under spec.CorpusDir and
@@ -89,6 +100,11 @@ type Coordinator struct {
 // coordinator died are preserved with their ids — their workers' next
 // heartbeats land normally — and their deadlines re-armed from now.
 func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
+	return newCoordinator(spec, opts, time.Now)
+}
+
+// newCoordinator is NewCoordinator on the given clock.
+func newCoordinator(spec Spec, opts Options, now func() time.Time) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,6 +127,7 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 		done:      make(chan struct{}),
 		tickStop:  make(chan struct{}),
 		tickDone:  make(chan struct{}),
+		now:       now,
 	}
 	for i := 0; i < spec.NumShards; i++ {
 		cl := Class{R: i, N: spec.NumShards}
@@ -122,7 +139,7 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 			return nil, fmt.Errorf("fleet: ledger %s: %w", ledger.Path(), err)
 		}
 	}
-	deadline := time.Now().Add(opts.TTL)
+	deadline := now().Add(opts.TTL)
 	for _, ci := range c.classes {
 		if ci.state == StateLeased {
 			ci.deadline = deadline
@@ -153,7 +170,8 @@ func (c *Coordinator) apply(e Event) error {
 			c.nextLease = e.Lease + 1
 		}
 	case EventComplete:
-		if ci.state != StateLeased || ci.lease != e.Lease {
+		adopt := ci.state == StatePending && ci.orphaned && e.Lease == 0
+		if !adopt && (ci.state != StateLeased || ci.lease != e.Lease) {
 			return fmt.Errorf("complete of %s class %s under lease %d", ci.state, e.Class, e.Lease)
 		}
 		ci.state = StateDone
@@ -163,6 +181,7 @@ func (c *Coordinator) apply(e Event) error {
 		}
 		ci.state, ci.lease, ci.worker = StatePending, 0, ""
 		ci.progress = Progress{}
+		ci.orphaned = true
 	case EventSplit:
 		if ci.state != StatePending {
 			return fmt.Errorf("split of %s class %s", ci.state, e.Class)
@@ -182,7 +201,7 @@ func (c *Coordinator) apply(e Event) error {
 // nothing is lost; a crash before the append replays to the pre-event
 // state and the transition simply never happened.
 func (c *Coordinator) journal(e Event) error {
-	e.TimeNS = time.Now().UnixNano()
+	e.TimeNS = c.now().UnixNano()
 	if err := c.ledger.Append(e); err != nil {
 		return err
 	}
@@ -201,7 +220,9 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // tick drives lazy expiry even when no requests arrive (the whole fleet
 // may be dead — the coordinator must still expire, re-issue, and
-// eventually notice adoption-completed classes).
+// eventually notice adoption-completed classes). Only ticks re-check the
+// orphaned pending classes, so request handling never reloads the corpus
+// for them.
 func (c *Coordinator) tick() {
 	defer close(c.tickDone)
 	interval := c.opts.TTL / 4
@@ -216,42 +237,59 @@ func (c *Coordinator) tick() {
 			return
 		case <-t.C:
 			c.mu.Lock()
-			c.expireOverdue()
+			c.expire(true)
 			c.mu.Unlock()
 		}
 	}
 }
 
-// expireOverdue (mu held) expires every leased class whose deadline
-// passed. Before re-issuing, the corpus is consulted: a class whose every
-// backend shard already carries a DoneRecord was finished by the dead
-// worker (it died after its final checkpoint, before /v1/complete) and is
-// adopted as complete. Otherwise, under recorded work-stealing demand and
-// below the split cap, the freed class is split so the next two lease
-// requests each get half; else it is re-issued whole and the successor
-// resumes the dead worker's checkpoint.
-func (c *Coordinator) expireOverdue() {
+// expireOverdue (mu held) is the expiry pass of request handling.
+func (c *Coordinator) expireOverdue() { c.expire(false) }
+
+// expire (mu held) expires every leased class whose deadline passed.
+// Before re-issuing, the corpus is consulted: a class whose every backend
+// shard already carries a DoneRecord was finished by the dead worker (it
+// died after its final checkpoint, before /v1/complete) and is adopted as
+// complete. Otherwise, under recorded work-stealing demand and below the
+// split cap, the freed class is split so the next two lease requests each
+// get half; else it is re-issued whole and the successor resumes the dead
+// worker's checkpoint. With orphans set, orphaned pending classes are
+// re-checked too: a holder that outlived its lease may since have written
+// its DoneRecords.
+func (c *Coordinator) expire(orphans bool) {
 	if c.closed {
 		return
 	}
-	now := time.Now()
-	for _, ci := range c.sorted() {
-		if ci.state != StateLeased || now.Before(ci.deadline) {
-			continue
+	now := c.now()
+	var done map[Class]bool // loaded on first need, once per pass
+	doneOnDisk := func(cl Class) bool {
+		if done == nil {
+			done = c.doneClasses()
 		}
-		lease := ci.lease
-		if c.classDoneOnDisk(ci.class) {
-			if err := c.journal(Event{Kind: EventComplete, Class: ci.class, Lease: lease, Worker: "(adopted)"}); err != nil {
+		return done[cl]
+	}
+	for _, ci := range c.sorted() {
+		switch {
+		case ci.state == StateLeased && !now.Before(ci.deadline):
+			lease := ci.lease
+			if doneOnDisk(ci.class) {
+				if err := c.journal(Event{Kind: EventComplete, Class: ci.class, Lease: lease, Worker: "(adopted)"}); err != nil {
+					c.logf("fleet: ledger append failed: %v", err)
+					return
+				}
+				continue
+			}
+			if err := c.journal(Event{Kind: EventExpire, Class: ci.class, Lease: lease}); err != nil {
 				c.logf("fleet: ledger append failed: %v", err)
 				return
 			}
-			continue
+			c.maybeSplit(ci.class)
+		case orphans && ci.state == StatePending && ci.orphaned && doneOnDisk(ci.class):
+			if err := c.journal(Event{Kind: EventComplete, Class: ci.class, Worker: "(adopted)"}); err != nil {
+				c.logf("fleet: ledger append failed: %v", err)
+				return
+			}
 		}
-		if err := c.journal(Event{Kind: EventExpire, Class: ci.class, Lease: lease}); err != nil {
-			c.logf("fleet: ledger append failed: %v", err)
-			return
-		}
-		c.maybeSplit(ci.class)
 	}
 	if c.allDone() {
 		c.finish()
@@ -299,35 +337,42 @@ func (c *Coordinator) removeClassShards(cl Class) error {
 	return nil
 }
 
-// classDoneOnDisk (mu held) reports whether every spec backend's corpus
-// shard for the class exists and carries a completion marker.
-func (c *Coordinator) classDoneOnDisk(cl Class) bool {
+// doneClasses (mu held) returns the classes whose every spec backend's
+// corpus shard exists and carries a completion marker. An unreadable
+// directory (or a corrupt shard) must never adopt a class as complete, so
+// it yields none; re-issue and let the worker's Resume decide.
+func (c *Coordinator) doneClasses() map[Class]bool {
+	done := map[Class]bool{}
 	fss, err := c.spec.filesystems()
 	if err != nil {
-		return false
+		return done
 	}
 	shards, err := corpus.LoadDir(c.spec.CorpusDir)
 	if err != nil {
-		// An unreadable directory (or a corrupt shard) must never adopt a
-		// class as complete; re-issue and let the worker's Resume decide.
-		return false
+		return done
 	}
-	doneFS := map[string]bool{}
+	doneFS := map[Class]map[string]bool{}
 	for _, s := range shards {
-		wantN := cl.N
-		if wantN == 1 {
-			wantN = 0 // unsharded shards record NumShards 0
+		if s.Done == nil {
+			continue
 		}
-		if s.Meta.Shard == cl.R && s.Meta.NumShards == wantN && s.Done != nil {
-			doneFS[s.Meta.FS] = true
+		cl := Class{R: s.Meta.Shard, N: s.Meta.NumShards}
+		if cl.N == 0 {
+			cl.N = 1 // unsharded shards record NumShards 0
 		}
+		if doneFS[cl] == nil {
+			doneFS[cl] = map[string]bool{}
+		}
+		doneFS[cl][s.Meta.FS] = true
 	}
-	for _, fs := range fss {
-		if !doneFS[fs.Name()] {
-			return false
+	for cl, names := range doneFS {
+		all := true
+		for _, fs := range fss {
+			all = all && names[fs.Name()]
 		}
+		done[cl] = all
 	}
-	return true
+	return done
 }
 
 // sorted (mu held) returns the table rows in deterministic (n, r) order.
@@ -446,7 +491,7 @@ func (c *Coordinator) lease(worker string) (LeaseResponse, error) {
 		if err := c.journal(Event{Kind: EventGrant, Class: ci.class, Lease: id, Worker: worker}); err != nil {
 			return LeaseResponse{}, err
 		}
-		ci.deadline = time.Now().Add(c.opts.TTL)
+		ci.deadline = c.now().Add(c.opts.TTL)
 		return LeaseResponse{
 			Lease: id,
 			Class: ci.class,
@@ -486,7 +531,7 @@ func (c *Coordinator) heartbeat(req HeartbeatRequest) (HeartbeatResponse, bool) 
 	if ci == nil {
 		return HeartbeatResponse{}, false
 	}
-	ci.deadline = time.Now().Add(c.opts.TTL)
+	ci.deadline = c.now().Add(c.opts.TTL)
 	ci.progress = req.Progress
 	return HeartbeatResponse{TTLMS: c.opts.TTL.Milliseconds()}, true
 }

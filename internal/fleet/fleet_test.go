@@ -290,7 +290,16 @@ func TestWorkStealingSplitOnExpiredDemand(t *testing.T) {
 func TestCoordinatorAdoptsDoneClassOnExpiry(t *testing.T) {
 	dir := t.TempDir()
 	spec := cheapSpec(dir, 1)
-	c := mustCoordinator(t, spec, Options{TTL: 150 * time.Millisecond})
+	// A fake clock drives expiry: the lease cannot lapse while the dead
+	// worker's sweep runs, however slow the machine, and lapses exactly
+	// when the test advances the clock. The short TTL only paces the
+	// wall-clock tick that notices it.
+	var clock fakeClock
+	c, err := newCoordinator(spec, Options{TTL: 40 * time.Millisecond, Logf: t.Logf}, clock.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 
 	// The worker sweeps its class fully (every DoneRecord on disk) but
 	// dies before /v1/complete. The coordinator must consult the corpus on
@@ -306,7 +315,11 @@ func TestCoordinatorAdoptsDoneClassOnExpiry(t *testing.T) {
 	if _, err := campaign.RunMatrix(cfg, fss); err != nil {
 		t.Fatal(err)
 	}
+	if st := c.Status(); st.Done != 0 {
+		t.Fatalf("class adopted before its lease expired: %+v", st)
+	}
 
+	clock.advance(time.Minute)
 	select {
 	case <-c.DoneCh():
 	case <-time.After(10 * time.Second):
@@ -320,6 +333,58 @@ func TestCoordinatorAdoptsDoneClassOnExpiry(t *testing.T) {
 		t.Fatalf("adopted fleet merge lost the dead worker's sweep: %+v", row)
 	}
 }
+
+// TestCoordinatorAdoptsOrphanedPendingClass: a lease that expires before
+// its holder finishes returns the class to pending; when the holder then
+// writes every DoneRecord, the next expiry tick adopts the pending class
+// instead of leaving it for a successor to re-sweep.
+func TestCoordinatorAdoptsOrphanedPendingClass(t *testing.T) {
+	dir := t.TempDir()
+	spec := cheapSpec(dir, 1)
+	var clock fakeClock
+	c, err := newCoordinator(spec, Options{TTL: 40 * time.Millisecond, Logf: t.Logf}, clock.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	lease, err := c.lease("w-slow")
+	if err != nil || lease.NoWork {
+		t.Fatalf("lease: %+v %v", lease, err)
+	}
+	clock.advance(time.Minute)
+	c.mu.Lock()
+	c.expireOverdue()
+	c.mu.Unlock()
+	if st := c.Status(); st.Pending != 1 {
+		t.Fatalf("overdue lease not expired back to pending: %+v", st)
+	}
+
+	cfg, fss, err := lease.Spec.config(lease.Class)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := campaign.RunMatrix(cfg, fss); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.DoneCh():
+	case <-time.After(10 * time.Second):
+		t.Fatalf("orphaned done-on-disk class never adopted: %+v", c.Status())
+	}
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fakeClock is a manually advanced clock, safe for the coordinator's tick
+// goroutine.
+type fakeClock struct{ offset atomic.Int64 }
+
+var fakeEpoch = time.Unix(1_700_000_000, 0)
+
+func (f *fakeClock) now() time.Time          { return fakeEpoch.Add(time.Duration(f.offset.Load())) }
+func (f *fakeClock) advance(d time.Duration) { f.offset.Add(int64(d)) }
 
 func TestWorkerReleasesZombieLockedClass(t *testing.T) {
 	dir := t.TempDir()

@@ -81,7 +81,9 @@ const (
 	// turns out to be fully swept on disk (the holder died between its
 	// last corpus checkpoint — which wrote every DoneRecord — and its
 	// /v1/complete call): re-issuing would waste a lease round-trip just
-	// to rediscover the markers.
+	// to rediscover the markers. With lease 0 it adopts a pending class
+	// that expired or was released and whose former holder went on to
+	// write every DoneRecord.
 	EventComplete
 	// EventExpire: Leased→Pending on a missed heartbeat deadline.
 	EventExpire
