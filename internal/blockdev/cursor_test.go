@@ -154,69 +154,50 @@ func TestCursorForkIsolationBlockdev(t *testing.T) {
 	forkB.Release()
 }
 
+// TestIncrementalReorderMatchesScratch pins each incremental fork to the
+// same state built from scratch by ApplyReorderState: same fingerprint, same
+// device bytes, strictly fewer replayed writes over the sweep.
 func TestIncrementalReorderMatchesScratch(t *testing.T) {
 	base, rec := buildLog(t)
 	log := rec.Log()
 	for _, k := range []int{0, 1, 2, 3} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			type scratchState struct {
-				desc  string
-				fp    uint64
-				bytes []byte
-			}
-			var want []scratchState
-			ForEachReorderState(log, k, func(st ReorderState, apply func(Device) error) bool {
-				crash := NewSnapshot(base)
-				if err := apply(crash); err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, scratchState{st.Desc, crash.Fingerprint(), deviceBytes(t, crash)})
-				return true
-			})
-
-			i := 0
 			var meter BlockMeter
-			incStats, err := ForEachReorderStatePruned(base, log, k, ReorderEnumOpts{}, &meter,
+			var states, scratchReplayed int64
+			epochs := Epochs(log)
+			incStats, err := ForEachReorderState(base, log, k, ReorderEnumOpts{}, &meter,
 				func(st ReorderState, crash *Snapshot) bool {
-					if i >= len(want) {
-						t.Fatalf("incremental enumerated extra state %s", st.Desc)
+					scratch := NewSnapshot(base)
+					if err := ApplyReorderState(scratch, log, st); err != nil {
+						t.Fatal(err)
 					}
-					w := want[i]
-					if st.Desc != w.desc {
-						t.Fatalf("state %d: desc %s != scratch %s", i, st.Desc, w.desc)
+					if fp, want := crash.Fingerprint(), scratch.Fingerprint(); fp != want {
+						t.Fatalf("state %s: fingerprint %x != scratch %x", st.Desc, fp, want)
 					}
-					if fp := crash.Fingerprint(); fp != w.fp {
-						t.Fatalf("state %s: fingerprint %x != scratch %x", st.Desc, fp, w.fp)
-					}
-					if !bytes.Equal(deviceBytes(t, crash), w.bytes) {
+					if !bytes.Equal(deviceBytes(t, crash), deviceBytes(t, scratch)) {
 						t.Fatalf("state %s: device contents differ from scratch", st.Desc)
 					}
-					i++
+					for e := 0; e < st.Epoch && e < len(epochs); e++ {
+						scratchReplayed += int64(len(epochs[e].Writes))
+					}
+					if st.Epoch >= 0 && st.Epoch < len(epochs) {
+						scratchReplayed += int64(st.Applied - len(st.Dropped))
+					}
+					states++
 					return true
 				})
 			if err != nil {
 				t.Fatal(err)
 			}
-			incReplayed := incStats.Replayed
-			if i != len(want) {
-				t.Fatalf("incremental enumerated %d states, scratch %d", i, len(want))
+			if want, _ := ReorderStateCount(log, k); states != want {
+				t.Fatalf("enumerated %d states, ReorderStateCount says %d", states, want)
 			}
+			incReplayed := incStats.Replayed
 			if meter.BlocksReplayed.Load() != incReplayed {
 				t.Fatalf("meter says %d replayed, return value %d", meter.BlocksReplayed.Load(), incReplayed)
 			}
 			// The whole point: the incremental engine must replay strictly
 			// fewer writes than per-state scratch replay on multi-epoch logs.
-			var scratchReplayed int64
-			epochs := Epochs(log)
-			ForEachReorderState(log, k, func(st ReorderState, _ func(Device) error) bool {
-				for e := 0; e < st.Epoch && e < len(epochs); e++ {
-					scratchReplayed += int64(len(epochs[e].Writes))
-				}
-				if st.Epoch >= 0 && st.Epoch < len(epochs) {
-					scratchReplayed += int64(st.Applied - len(st.Dropped))
-				}
-				return true
-			})
 			if incReplayed >= scratchReplayed {
 				t.Fatalf("incremental replayed %d writes, scratch %d — no savings", incReplayed, scratchReplayed)
 			}
@@ -227,7 +208,7 @@ func TestIncrementalReorderMatchesScratch(t *testing.T) {
 func TestIncrementalReorderEmptyLog(t *testing.T) {
 	base := NewMemDisk(8)
 	seen := 0
-	_, err := ForEachReorderStatePruned(base, nil, 1, ReorderEnumOpts{}, nil, func(st ReorderState, crash *Snapshot) bool {
+	_, err := ForEachReorderState(base, nil, 1, ReorderEnumOpts{}, nil, func(st ReorderState, crash *Snapshot) bool {
 		if st.Desc != "empty" {
 			t.Fatalf("unexpected state %s", st.Desc)
 		}
@@ -242,7 +223,7 @@ func TestIncrementalReorderEmptyLog(t *testing.T) {
 func TestIncrementalReorderEarlyStop(t *testing.T) {
 	base, rec := buildLog(t)
 	seen := 0
-	if _, err := ForEachReorderStatePruned(base, rec.Log(), 1, ReorderEnumOpts{}, nil,
+	if _, err := ForEachReorderState(base, rec.Log(), 1, ReorderEnumOpts{}, nil,
 		func(ReorderState, *Snapshot) bool {
 			seen++
 			return seen < 3

@@ -5,7 +5,7 @@ import "fmt"
 // Enumeration-time pruning for the bounded-reordering and fault sweeps.
 // The two-tier verdict cache (crashmonkey's PruneCache) discovers state
 // equivalence only after a crash state has been fully constructed; the
-// pruned enumerators below decide it while enumerating, using the same O(1)
+// enumerators below decide it while enumerating, using the same O(1)
 // XOR fingerprint algebra the tracked snapshots maintain: every state's
 // content fingerprint is computed *before* the state is constructed (a pure
 // XOR-delta computation over the epoch's per-block contributions), and a
@@ -13,11 +13,11 @@ import "fmt"
 // skipped without forking a snapshot or replaying a single write.
 //
 // Class pruning is verdict-preserving by construction and cross-checked
-// against the unpruned scratch engines (docs/TESTING.md): the enumerated
-// space satisfies count == Visited + ClassSkipped exactly, with count from
-// the 128-bit guarded ReorderStateCount/FaultStateCount.
+// against the from-scratch appliers (docs/TESTING.md): the enumerated space
+// satisfies count == Visited + ClassSkipped exactly, with count from the
+// 128-bit guarded ReorderStateCount/FaultStateCount.
 
-// EnumStats is the outcome of one pruned enumeration.
+// EnumStats is the outcome of one enumeration.
 type EnumStats struct {
 	// Visited counts states constructed and handed to fn.
 	Visited int64
@@ -35,7 +35,7 @@ func (s EnumStats) States() int64 {
 	return s.Visited + s.ClassSkipped
 }
 
-// ReorderEnumOpts configures ForEachReorderStatePruned. The zero value
+// ReorderEnumOpts configures ForEachReorderState. The zero value
 // disables class pruning: every state is constructed.
 type ReorderEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
@@ -45,7 +45,7 @@ type ReorderEnumOpts struct {
 	Seen func(st ReorderState, fp uint64) bool
 }
 
-// FaultEnumOpts configures ForEachFaultStatePruned. The zero value disables
+// FaultEnumOpts configures ForEachFaultState. The zero value disables
 // class pruning: every state is constructed.
 type FaultEnumOpts struct {
 	// Seen, when non-nil, is consulted with every state's content
@@ -140,10 +140,23 @@ func (p *epochPlan) dropFP(rolling *Snapshot, writes []Record, drop []int) uint6
 	return fp
 }
 
-// ForEachReorderStatePruned enumerates the bounded-reordering crash-state
-// space of log — the same space, order, descriptors, and byte-identical
-// device contents as ForEachReorderState — but constructs each state from
-// its epoch boundary instead of replaying every prior epoch from scratch:
+// ForEachReorderState enumerates the bounded-reordering crash-state space of
+// log in a deterministic order. For each epoch E with n writes it yields
+//
+//   - every in-order prefix of E (Applied = 0..n-1) — the mid-operation
+//     states, present at every bound including k = 0; then
+//   - for k >= 1, the full epoch with every non-empty subset of at most k
+//     writes dropped, smallest subsets first, lexicographic within a size;
+//
+// and after the last epoch one final fully-replayed state. k = 1 therefore
+// reproduces exactly the legacy sweep (every write prefix plus every
+// drop-one-unbarriered-write state) and larger bounds open strictly more
+// states. Distinct descriptors may construct byte-identical device states
+// (dropping an epoch's last write equals the prefix one shorter); callers
+// that care deduplicate by content fingerprint.
+//
+// States are built from their epoch boundary, never by replaying every
+// prior epoch:
 //
 //   - a rolling tracked snapshot over base advances epoch by epoch, so the
 //     barriered prefix shared by all of an epoch's states is replayed once
@@ -161,11 +174,12 @@ func (p *epochPlan) dropFP(rolling *Snapshot, writes []Record, drop []int) uint6
 // completion.
 //
 // fn receives each state as a tracked COW fork: recovery writes stay in the
-// fork, and Fingerprint() is O(1) and equal to the from-scratch overlay
-// fingerprint. The fork is valid only for the duration of fn and is released
-// back to the buffer pool when fn returns; fn returning false stops the
-// sweep. Replayed writes are also folded into meter when non-nil.
-func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnumOpts,
+// fork, and Fingerprint() is O(1) and equal to the fingerprint of the same
+// state built by ApplyReorderState on a fresh snapshot. The fork is valid
+// only for the duration of fn and is released back to the buffer pool when
+// fn returns; fn returning false stops the sweep. Replayed writes are also
+// folded into meter when non-nil.
+func ForEachReorderState(base Device, log []Record, k int, opts ReorderEnumOpts,
 	meter *BlockMeter, fn func(st ReorderState, crash *Snapshot) bool) (EnumStats, error) {
 
 	var stats EnumStats
@@ -269,21 +283,31 @@ func ForEachReorderStatePruned(base Device, log []Record, k int, opts ReorderEnu
 	return stats, err
 }
 
-// ForEachFaultStatePruned enumerates the crash-state space of one fault
-// kind — the same space, order, descriptors, and byte-identical device
-// contents as ForEachFaultState — constructing each state from a rolling
-// tracked snapshot instead of replaying every prior epoch from scratch. Each
-// state forks the rolling snapshot and applies only its own delta: nothing
-// for fault-free prefix/final states, the single torn or corrupting write
-// for torn/corrupt states, or the in-flight epoch with one write redirected
-// for misdirect states.
+// ForEachFaultState enumerates the crash-state space of one fault kind in a
+// deterministic order. For each epoch E with n writes it yields, per write j:
 //
-// opts.Seen is consulted with each state's fingerprint before construction.
-// The fingerprints of torn and corrupt states cost one block hash;
-// misdirect states are pure XOR deltas, so the class index prunes their
-// whole-epoch replays without a single write. fn's contract matches
-// ForEachReorderStatePruned.
-func ForEachFaultStatePruned(base Device, log []Record, kind FaultKind, sectorSize int,
+//   - FaultTorn: the in-order prefix of j writes ("e%d-pfx%d" — present so a
+//     torn sweep subsumes the k=0 prefix sweep and, at sectorSize ==
+//     BlockSize, degenerates to exactly it), then the prefix plus the first
+//     s sectors of write j for s = 1..sectorsPerBlock-1 ("e%d-w%d-torn%d");
+//   - FaultCorrupt: the full epoch with write j's block then zeroed
+//     ("e%d-w%d-zero") and bit-flipped ("e%d-w%d-flip");
+//   - FaultMisdirect: the full epoch with write j landing one block to the
+//     right, wrapping in range ("e%d-w%d-mis");
+//
+// and after the last epoch one final fully-replayed state. FaultStateCount
+// returns the exact number of states enumerated.
+//
+// Each state forks a rolling tracked snapshot and applies only its own
+// delta: nothing for fault-free prefix/final states, the single torn or
+// corrupting write for torn/corrupt states, or the in-flight epoch with one
+// write redirected for misdirect states. opts.Seen is consulted with each
+// state's fingerprint before construction. The fingerprints of torn and
+// corrupt states cost one block hash; misdirect states are pure XOR deltas,
+// so the class index prunes their whole-epoch replays without a single
+// write. fn's contract matches ForEachReorderState, with ApplyFaultState as
+// the from-scratch reference.
+func ForEachFaultState(base Device, log []Record, kind FaultKind, sectorSize int,
 	opts FaultEnumOpts, meter *BlockMeter, fn func(st FaultState, crash *Snapshot) bool) (EnumStats, error) {
 
 	var stats EnumStats

@@ -65,7 +65,7 @@ func TestReorderPredictedFingerprints(t *testing.T) {
 				},
 			}
 			n := int64(0)
-			stats, err := ForEachReorderStatePruned(base, log, k, opts, nil,
+			stats, err := ForEachReorderState(base, log, k, opts, nil,
 				func(st ReorderState, crash *Snapshot) bool {
 					n++
 					if st.Desc != predDesc {
@@ -107,7 +107,7 @@ func TestFaultPredictedFingerprints(t *testing.T) {
 						return false
 					},
 				}
-				stats, err := ForEachFaultStatePruned(base, log, kind, sector, opts, nil,
+				stats, err := ForEachFaultState(base, log, kind, sector, opts, nil,
 					func(st FaultState, crash *Snapshot) bool {
 						if st.Desc != predDesc {
 							t.Fatalf("script %d %s/%d: fn got %q, Seen last saw %q",
@@ -144,7 +144,7 @@ func TestSeenSkipsConstruction(t *testing.T) {
 		base := scriptBase(t)
 		seen := map[uint64]bool{}
 		fnFPs := map[uint64]int{}
-		stats, err := ForEachReorderStatePruned(base, log, 2, ReorderEnumOpts{
+		stats, err := ForEachReorderState(base, log, 2, ReorderEnumOpts{
 			Seen: func(st ReorderState, fp uint64) bool {
 				if seen[fp] {
 					return true

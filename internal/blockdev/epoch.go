@@ -112,60 +112,6 @@ func combinations(n, d int, fn func([]int) bool) bool {
 	}
 }
 
-// ForEachReorderState enumerates the bounded-reordering crash-state space of
-// log in a deterministic order. For each epoch E with n writes it yields
-//
-//   - every in-order prefix of E (Applied = 0..n-1) — the mid-operation
-//     states, present at every bound including k = 0; then
-//   - for k >= 1, the full epoch with every non-empty subset of at most k
-//     writes dropped, smallest subsets first, lexicographic within a size;
-//
-// and after the last epoch one final fully-replayed state. k = 1 therefore
-// reproduces exactly the legacy sweep (every write prefix plus every
-// drop-one-unbarriered-write state) and larger bounds open strictly more
-// states. fn receives the state descriptor and an applier that replays the
-// state onto a destination device; fn returning false stops the sweep.
-//
-// Distinct descriptors may construct byte-identical device states (dropping
-// an epoch's last write equals the prefix one shorter); callers that care
-// deduplicate by content fingerprint.
-func ForEachReorderState(log []Record, k int, fn func(st ReorderState, apply func(dst Device) error) bool) {
-	epochs := Epochs(log)
-	emit := func(st ReorderState) bool {
-		return fn(st, func(dst Device) error { return applyReorderState(dst, epochs, st) })
-	}
-	for _, ep := range epochs {
-		n := len(ep.Writes)
-		for j := 0; j < n; j++ {
-			if !emit(ReorderState{Epoch: ep.Index, Applied: j,
-				Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}) {
-				return
-			}
-		}
-		maxDrop := k
-		if maxDrop > n {
-			maxDrop = n
-		}
-		for d := 1; d <= maxDrop; d++ {
-			ok := combinations(n, d, func(drop []int) bool {
-				return emit(ReorderState{Epoch: ep.Index, Applied: n,
-					Dropped: append([]int(nil), drop...),
-					Desc:    dropDesc(ep.Index, drop)})
-			})
-			if !ok {
-				return
-			}
-		}
-	}
-	if len(epochs) == 0 {
-		emit(ReorderState{Epoch: -1, Desc: "empty"})
-		return
-	}
-	last := epochs[len(epochs)-1]
-	emit(ReorderState{Epoch: last.Index, Applied: len(last.Writes),
-		Desc: fmt.Sprintf("e%d-full", last.Index)})
-}
-
 // ReorderStateCount returns the number of states ForEachReorderState
 // enumerates for log at bound k, without constructing any of them. It
 // returns ErrStateCountOverflow when the exact count does not fit in int64.
@@ -173,9 +119,12 @@ func ReorderStateCount(log []Record, k int) (int64, error) {
 	return reorderCountForSizes(epochSizes(Epochs(log)), k)
 }
 
-// applyReorderState replays st onto dst: all writes of the epochs before
-// st.Epoch, then the in-flight epoch's prefix or drop-subset.
-func applyReorderState(dst Device, epochs []Epoch, st ReorderState) error {
+// ApplyReorderState builds st from scratch onto dst: every write of the
+// epochs of log before st.Epoch, then the in-flight epoch's prefix or
+// drop-subset. It is the reference construction ForEachReorderState's
+// incremental forks are checked against, byte for byte.
+func ApplyReorderState(dst Device, log []Record, st ReorderState) error {
+	epochs := Epochs(log)
 	write := func(rec Record) error {
 		if err := dst.WriteBlock(rec.Block, rec.Data); err != nil {
 			return fmt.Errorf("blockdev: reorder replay write seq %d: %w", rec.Seq, err)

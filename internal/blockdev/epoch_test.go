@@ -33,6 +33,15 @@ func testLog(spec ...string) []Record {
 	return log
 }
 
+// sweepReorder enumerates the bound-k reorder space of log over a blank
+// 8-block base, failing the test on an enumeration error.
+func sweepReorder(t *testing.T, log []Record, k int, fn func(ReorderState, *Snapshot) bool) {
+	t.Helper()
+	if _, err := ForEachReorderState(NewMemDisk(8), log, k, ReorderEnumOpts{}, nil, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func epochShape(eps []Epoch) []int {
 	out := make([]int, len(eps))
 	for i, e := range eps {
@@ -91,13 +100,9 @@ func TestCheckpointIsReorderBarrier(t *testing.T) {
 	// point), then block 1 is written and still in flight.
 	log := testLog("w0", "C", "w1")
 	for _, k := range []int{0, 1, 2} {
-		ForEachReorderState(log, k, func(st ReorderState, apply func(Device) error) bool {
-			dst := NewMemDisk(4)
-			if err := apply(dst); err != nil {
-				t.Fatal(err)
-			}
-			b0, _ := dst.ReadBlock(0)
-			b1, _ := dst.ReadBlock(1)
+		sweepReorder(t, log, k, func(st ReorderState, crash *Snapshot) bool {
+			b0, _ := crash.ReadBlock(0)
+			b1, _ := crash.ReadBlock(1)
 			zero := make([]byte, BlockSize)
 			if !bytes.Equal(b1, zero) && bytes.Equal(b0, zero) {
 				t.Fatalf("k=%d state %s applies the in-flight write but drops the checkpointed one", k, st.Desc)
@@ -116,15 +121,11 @@ func TestReorderK0IsExactlyThePrefixRow(t *testing.T) {
 		}
 	}
 	var got []uint64
-	ForEachReorderState(log, 0, func(st ReorderState, apply func(Device) error) bool {
+	sweepReorder(t, log, 0, func(st ReorderState, crash *Snapshot) bool {
 		if st.Dropped != nil {
 			t.Fatalf("k=0 yielded drop state %s", st.Desc)
 		}
-		dst := NewSnapshot(NewMemDisk(8))
-		if err := apply(dst); err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, dst.Fingerprint())
+		got = append(got, crash.Fingerprint())
 		return true
 	})
 	if len(got) != writes+1 {
@@ -151,7 +152,12 @@ func TestReorderStateCountMatchesEnumeration(t *testing.T) {
 	for li, log := range logs {
 		for k := 0; k <= 3; k++ {
 			n := 0
-			ForEachReorderState(log, k, func(ReorderState, func(Device) error) bool {
+			descs := map[string]bool{}
+			sweepReorder(t, log, k, func(st ReorderState, _ *Snapshot) bool {
+				if descs[st.Desc] {
+					t.Fatalf("log %d k=%d: duplicate state %s", li, k, st.Desc)
+				}
+				descs[st.Desc] = true
 				n++
 				return true
 			})
@@ -184,7 +190,7 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 		dropStates += len(e.Writes)
 	}
 	var descs []string
-	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) error) bool {
+	sweepReorder(t, log, 1, func(st ReorderState, _ *Snapshot) bool {
 		if st.Dropped != nil && len(st.Dropped) != 1 {
 			t.Fatalf("k=1 dropped %d writes in %s", len(st.Dropped), st.Desc)
 		}
@@ -197,7 +203,7 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 	}
 	// Determinism: a second enumeration is identical.
 	i := 0
-	ForEachReorderState(log, 1, func(st ReorderState, _ func(Device) error) bool {
+	sweepReorder(t, log, 1, func(st ReorderState, _ *Snapshot) bool {
 		if descs[i] != st.Desc {
 			t.Fatalf("state %d: %s then %s", i, descs[i], st.Desc)
 		}
@@ -209,7 +215,7 @@ func TestReorderK1MatchesLegacySweep(t *testing.T) {
 func TestReorderEnumerationStopsEarly(t *testing.T) {
 	log := testLog("w0", "w1", "w2", "F")
 	n := 0
-	ForEachReorderState(log, 3, func(ReorderState, func(Device) error) bool {
+	sweepReorder(t, log, 3, func(ReorderState, *Snapshot) bool {
 		n++
 		return n < 2
 	})

@@ -12,9 +12,10 @@ import (
 // unsynced blocks (zeroes from a dropped cache line, bit flips from a failing
 // medium), and misdirect a write onto the wrong LBA. Each of those is
 // modelled here as its own deterministic, exactly-countable iterator with the
-// same contract as ForEachReorderState: stable Descs, a scratch applier, and
-// an incremental tracked-snapshot variant whose forks carry O(1)
-// fingerprints, so the prune/corpus/shard/merge layers compose unchanged.
+// same contract as ForEachReorderState: stable Descs, incremental
+// tracked-snapshot forks that carry O(1) fingerprints, and a from-scratch
+// reference applier, so the prune/corpus/shard/merge layers compose
+// unchanged.
 //
 // Only writes that are still unsynced at the crash point are faulted: writes
 // of earlier, barrier-closed epochs are durable by definition (their flush or
@@ -184,84 +185,6 @@ type FaultState struct {
 	Desc string
 }
 
-// ForEachFaultState enumerates the crash-state space of one fault kind in a
-// deterministic order. For each epoch E with n writes it yields, per write j:
-//
-//   - FaultTorn: the in-order prefix of j writes ("e%d-pfx%d" — present so a
-//     torn sweep subsumes the k=0 prefix sweep and, at sectorSize ==
-//     BlockSize, degenerates to exactly it), then the prefix plus the first
-//     s sectors of write j for s = 1..sectorsPerBlock-1 ("e%d-w%d-torn%d");
-//   - FaultCorrupt: the full epoch with write j's block then zeroed
-//     ("e%d-w%d-zero") and bit-flipped ("e%d-w%d-flip");
-//   - FaultMisdirect: the full epoch with write j landing one block to the
-//     right, wrapping in range ("e%d-w%d-mis");
-//
-// and after the last epoch one final fully-replayed state. fn receives the
-// state descriptor and an applier that replays the state onto a destination
-// device; fn returning false stops the sweep. FaultStateCount returns the
-// exact number of states enumerated.
-func ForEachFaultState(log []Record, kind FaultKind, sectorSize int,
-	fn func(st FaultState, apply func(dst Device) error) bool) error {
-
-	spb, err := sectorsPerBlock(sectorSize)
-	if err != nil {
-		return err
-	}
-	if kind < 0 || int(kind) >= NumFaultKinds {
-		return fmt.Errorf("blockdev: unknown fault kind %d", int(kind))
-	}
-	epochs := Epochs(log)
-	emit := func(st FaultState) bool {
-		return fn(st, func(dst Device) error { return applyFaultState(dst, epochs, st, sectorSize) })
-	}
-	for _, ep := range epochs {
-		n := len(ep.Writes)
-		switch kind {
-		case FaultTorn:
-			for j := 0; j < n; j++ {
-				if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: -1, Applied: j,
-					Desc: fmt.Sprintf("e%d-pfx%d", ep.Index, j)}) {
-					return nil
-				}
-				for s := 1; s < spb; s++ {
-					if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: j, Sectors: s,
-						Desc: fmt.Sprintf("e%d-w%d-torn%d", ep.Index, j, s)}) {
-						return nil
-					}
-				}
-			}
-		case FaultCorrupt:
-			for j := 0; j < n; j++ {
-				for _, zeroed := range []bool{true, false} {
-					variant := "flip"
-					if zeroed {
-						variant = "zero"
-					}
-					if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n, Zeroed: zeroed,
-						Desc: fmt.Sprintf("e%d-w%d-%s", ep.Index, j, variant)}) {
-						return nil
-					}
-				}
-			}
-		case FaultMisdirect:
-			for j := 0; j < n; j++ {
-				if !emit(FaultState{Kind: kind, Epoch: ep.Index, Write: j, Applied: n,
-					Desc: fmt.Sprintf("e%d-w%d-mis", ep.Index, j)}) {
-					return nil
-				}
-			}
-		}
-	}
-	if len(epochs) == 0 {
-		emit(FaultState{Kind: kind, Epoch: -1, Write: -1, Desc: "empty"})
-		return nil
-	}
-	last := epochs[len(epochs)-1]
-	emit(FaultState{Kind: kind, Epoch: last.Index, Write: -1, Applied: len(last.Writes),
-		Desc: fmt.Sprintf("e%d-full", last.Index)})
-	return nil
-}
-
 // FaultStateCount returns the number of states ForEachFaultState enumerates
 // for log, without constructing any of them. It returns
 // ErrStateCountOverflow when the exact count does not fit in int64.
@@ -315,9 +238,12 @@ func misdirectTarget(dst Device, rec Record) int64 {
 	return (rec.Block + 1) % dst.NumBlocks()
 }
 
-// applyFaultState replays st onto dst: all writes of the epochs before
-// st.Epoch, then the in-flight epoch per the state's kind and fields.
-func applyFaultState(dst Device, epochs []Epoch, st FaultState, sectorSize int) error {
+// ApplyFaultState builds st from scratch onto dst: every write of the
+// epochs of log before st.Epoch, then the in-flight epoch per the state's
+// kind and fields. It is the reference construction ForEachFaultState's
+// incremental forks are checked against, byte for byte.
+func ApplyFaultState(dst Device, log []Record, st FaultState, sectorSize int) error {
+	epochs := Epochs(log)
 	write := func(rec Record) error {
 		if err := dst.WriteBlock(rec.Block, rec.Data); err != nil {
 			return fmt.Errorf("blockdev: fault replay write seq %d: %w", rec.Seq, err)

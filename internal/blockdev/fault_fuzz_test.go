@@ -55,7 +55,7 @@ func FuzzFaultStates(f *testing.F) {
 		var descs []string
 		var fps []uint64
 		seen := map[string]bool{}
-		if _, err := ForEachFaultStatePruned(base, log, kind, sector, FaultEnumOpts{}, nil,
+		if _, err := ForEachFaultState(base, log, kind, sector, FaultEnumOpts{}, nil,
 			func(st FaultState, crash *Snapshot) bool {
 				if seen[st.Desc] {
 					t.Fatalf("duplicate Desc %q", st.Desc)
@@ -71,25 +71,7 @@ func FuzzFaultStates(f *testing.F) {
 			t.Fatalf("enumerated %d states, FaultStateCount says %d", len(descs), want)
 		}
 
-		// Determinism and incremental/scratch fingerprint agreement.
-		i := 0
-		err = ForEachFaultState(log, kind, sector, func(st FaultState, apply func(Device) error) bool {
-			scratch := NewSnapshot(base)
-			if err := apply(scratch); err != nil {
-				t.Fatal(err)
-			}
-			if st.Desc != descs[i] || scratch.Fingerprint() != fps[i] {
-				t.Fatalf("state %d: scratch %q/%016x vs incremental %q/%016x",
-					i, st.Desc, scratch.Fingerprint(), descs[i], fps[i])
-			}
-			i++
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if int64(i) != want {
-			t.Fatalf("scratch enumerated %d of %d states", i, want)
-		}
+		// Determinism and incremental/scratch agreement, byte for byte.
+		checkFaultForksMatchScratch(t, base, log, kind, sector, fps)
 	})
 }

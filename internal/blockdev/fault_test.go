@@ -22,10 +22,16 @@ func TestFaultStateCountMatchesEnumeration(t *testing.T) {
 		for _, kind := range allFaultKinds {
 			for _, sector := range []int{512, 1024, BlockSize} {
 				n := 0
-				err := ForEachFaultState(log, kind, sector, func(FaultState, func(Device) error) bool {
-					n++
-					return true
-				})
+				descs := map[string]bool{}
+				_, err := ForEachFaultState(NewMemDisk(8), log, kind, sector, FaultEnumOpts{}, nil,
+					func(st FaultState, _ *Snapshot) bool {
+						if descs[st.Desc] {
+							t.Fatalf("log %d %s sector %d: duplicate state %s", li, kind, sector, st.Desc)
+						}
+						descs[st.Desc] = true
+						n++
+						return true
+					})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +66,7 @@ func faultSweepFingerprints(t *testing.T, base Device, log []Record, kind FaultK
 	t.Helper()
 	var descs []string
 	var fps []uint64
-	if _, err := ForEachFaultStatePruned(base, log, kind, sector, FaultEnumOpts{}, nil,
+	if _, err := ForEachFaultState(base, log, kind, sector, FaultEnumOpts{}, nil,
 		func(st FaultState, crash *Snapshot) bool {
 			descs = append(descs, st.Desc)
 			fps = append(fps, crash.Fingerprint())
@@ -69,6 +75,36 @@ func faultSweepFingerprints(t *testing.T, base Device, log []Record, kind FaultK
 		t.Fatal(err)
 	}
 	return descs, fps
+}
+
+// checkFaultForksMatchScratch enumerates one fault sweep and requires every
+// fork to equal the same state built from scratch by ApplyFaultState: the
+// fingerprint recorded by an earlier sweep (fps), the scan fingerprint of
+// the scratch build, and the device bytes.
+func checkFaultForksMatchScratch(t *testing.T, base Device, log []Record, kind FaultKind, sector int, fps []uint64) {
+	t.Helper()
+	i := 0
+	if _, err := ForEachFaultState(base, log, kind, sector, FaultEnumOpts{}, nil,
+		func(st FaultState, crash *Snapshot) bool {
+			scratch := NewSnapshot(base)
+			if err := ApplyFaultState(scratch, log, st, sector); err != nil {
+				t.Fatal(err)
+			}
+			if i >= len(fps) || scratch.Fingerprint() != fps[i] {
+				t.Fatalf("%s state %d (%s): scratch fingerprint %016x disagrees with the sweep",
+					kind, i, st.Desc, scratch.Fingerprint())
+			}
+			if !bytes.Equal(deviceBytes(t, scratch), deviceBytes(t, crash)) {
+				t.Fatalf("%s state %s: device contents differ from scratch", kind, st.Desc)
+			}
+			i++
+			return true
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if i != len(fps) {
+		t.Fatalf("%s: enumerated %d states, earlier sweep %d", kind, i, len(fps))
+	}
 }
 
 // TestFaultStatesAreDeterministic is the enumeration half of the soundness
@@ -103,26 +139,8 @@ func TestFaultStatesAreDeterministic(t *testing.T) {
 					}
 					seen[descs1[i]] = true
 				}
-				// Scratch appliers reconstruct the same states in the same order.
-				i := 0
-				err := ForEachFaultState(log, kind, sector, func(st FaultState, apply func(Device) error) bool {
-					scratch := NewSnapshot(base)
-					if err := apply(scratch); err != nil {
-						t.Fatal(err)
-					}
-					if st.Desc != descs1[i] || scratch.Fingerprint() != fps1[i] {
-						t.Fatalf("log %d %s state %d: scratch %q/%016x vs incremental %q/%016x",
-							li, kind, i, st.Desc, scratch.Fingerprint(), descs1[i], fps1[i])
-					}
-					i++
-					return true
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i != len(descs1) {
-					t.Fatalf("log %d %s: scratch enumerates %d of %d states", li, kind, i, len(descs1))
-				}
+				// The scratch applier reconstructs every state byte for byte.
+				checkFaultForksMatchScratch(t, base, log, kind, sector, fps1)
 			}
 		}
 	}
@@ -139,7 +157,7 @@ func TestFaultTornDegeneratesToPrefixSweep(t *testing.T) {
 
 		var reorderDescs []string
 		var reorderFPs []uint64
-		if _, err := ForEachReorderStatePruned(base, log, 0, ReorderEnumOpts{}, nil,
+		if _, err := ForEachReorderState(base, log, 0, ReorderEnumOpts{}, nil,
 			func(st ReorderState, crash *Snapshot) bool {
 				reorderDescs = append(reorderDescs, st.Desc)
 				reorderFPs = append(reorderFPs, crash.Fingerprint())
@@ -186,7 +204,7 @@ func TestFaultStateSemantics(t *testing.T) {
 	find := func(t *testing.T, kind FaultKind, desc string) *Snapshot {
 		t.Helper()
 		var got *Snapshot
-		if _, err := ForEachFaultStatePruned(newBase(), log, kind, 512, FaultEnumOpts{}, nil,
+		if _, err := ForEachFaultState(newBase(), log, kind, 512, FaultEnumOpts{}, nil,
 			func(st FaultState, crash *Snapshot) bool {
 				if st.Desc != desc {
 					return true

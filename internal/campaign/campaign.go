@@ -60,11 +60,6 @@ type Config struct {
 	// SampleEvery tests only every n-th workload (1 or 0 = all). The
 	// space is still enumerated fully, so generation counts are exact.
 	SampleEvery int64
-	// KnownDB deduplicates previously reported bugs (§5.3); may be nil.
-	KnownDB *report.KnownDB
-	// SkipWriteChecks speeds up large sweeps at the cost of missing
-	// un-removable-dir and cannot-create consequences.
-	SkipWriteChecks bool
 
 	// FinalOnly restores the paper's §5.3 strategy of testing only the
 	// final persistence point of each workload. The default crash-tests
@@ -90,20 +85,6 @@ type Config struct {
 	// state is checked against the oracle. This is the cross-check mode —
 	// it must produce the identical set of bug verdicts, only slower.
 	NoPrune bool
-	// ScratchStates constructs every crash state from scratch (fresh
-	// snapshot + full log-prefix replay) instead of through the rolling
-	// replay cursor. Like NoPrune this is a cross-check mode: identical
-	// fingerprints and verdicts, strictly more replayed writes. Excluded
-	// from the config fingerprint for the same reason prune mode is —
-	// construction strategy never changes verdicts.
-	ScratchStates bool
-	// NoClassPrune disables enumeration-time class pruning: every crash
-	// state is constructed even when its fingerprint was already judged,
-	// and verdict reuse falls back to the post-construction cache lookup.
-	// Cross-check mode — identical verdicts, strictly more constructed
-	// states. Excluded from the config fingerprint like the other
-	// construction-strategy toggles.
-	NoClassPrune bool
 	// PruneCap bounds each prune-cache tier (entries). 0 uses
 	// crashmonkey.DefaultPruneCap; negative means unbounded. Eviction is
 	// verdict-preserving: an evicted state that recurs is re-checked.
@@ -155,8 +136,8 @@ type Config struct {
 	// (0 = corpus.DefaultFlushEvery).
 	CheckpointEvery int
 
-	// KnownDBFor, when set, supplies a per-file-system known-bug database
-	// for matrix campaigns; it takes precedence over KnownDB.
+	// KnownDBFor, when set, supplies the per-file-system known-bug database
+	// (§5.3) that splits each row's groups into fresh and known ones.
 	KnownDBFor func(fsName string) *report.KnownDB
 }
 
@@ -177,9 +158,10 @@ func (cfg *Config) configFingerprint() string {
 	if cfg.KV != nil {
 		space = cfg.KV.Fingerprint()
 	}
-	fp := fmt.Sprintf("%s|sample=%d|final=%t|writechecks=%t|reorder=%d",
-		space, sample, cfg.FinalOnly, !cfg.SkipWriteChecks,
-		max(cfg.Reorder, 0))
+	// Write checks always run; the literal segment keeps every corpus shard
+	// key byte-identical to what builds with a write-check toggle wrote.
+	fp := fmt.Sprintf("%s|sample=%d|final=%t|writechecks=true|reorder=%d",
+		space, sample, cfg.FinalOnly, max(cfg.Reorder, 0))
 	// Fault segments are appended only when the axis is enabled, so every
 	// pre-fault corpus shard keeps its exact key and stays resumable; when
 	// enabled, resume and merge refuse mixed fault sets or sector sizes.
@@ -845,14 +827,11 @@ func (r *fsRun) finish(start time.Time, interrupted bool) error {
 	stats.MaxDirty = cnt.dirtyMax.Load()
 
 	stats.Groups = report.GroupReports(r.reports)
-	db := r.cfg.KnownDB
+	stats.FreshGroups = stats.Groups
 	if r.cfg.KnownDBFor != nil {
-		db = r.cfg.KnownDBFor(r.cfg.FS.Name())
-	}
-	if db != nil {
-		stats.FreshGroups, stats.KnownGroups = db.Split(stats.Groups)
-	} else {
-		stats.FreshGroups = stats.Groups
+		if db := r.cfg.KnownDBFor(r.cfg.FS.Name()); db != nil {
+			stats.FreshGroups, stats.KnownGroups = db.Split(stats.Groups)
+		}
 	}
 	return nil
 }
@@ -1011,14 +990,7 @@ func RunMatrix(cfg Config, fss []filesys.FileSystem) (*Matrix, error) {
 			for j := range jobs {
 				mk := monkeys[j.run]
 				if mk == nil {
-					mk = &crashmonkey.Monkey{
-						FS:              j.run.cfg.FS,
-						SkipWriteChecks: j.run.cfg.SkipWriteChecks,
-						Prune:           j.run.cache,
-						ScratchStates:   j.run.cfg.ScratchStates,
-						NoClassPrune:    j.run.cfg.NoClassPrune,
-						Meter:           &j.run.meter,
-					}
+					mk = &crashmonkey.Monkey{FS: j.run.cfg.FS, Prune: j.run.cache, Meter: &j.run.meter}
 					monkeys[j.run] = mk
 				}
 				j.run.runWorkload(mk, j)
@@ -1543,21 +1515,4 @@ func (m *Matrix) Summary() string {
 		}
 	}
 	return sb.String()
-}
-
-// KnownEntry seeds one known bug for the §5.3 database.
-type KnownEntry struct {
-	Skeleton    string
-	Consequence bugs.Consequence
-	BugID       string
-}
-
-// SeedKnownDB builds the §5.3 known-bug database: each known bug is keyed
-// by the skeleton and consequence it produces.
-func SeedKnownDB(entries []KnownEntry) *report.KnownDB {
-	db := report.NewKnownDB()
-	for _, e := range entries {
-		db.Add(e.Skeleton, e.Consequence, e.BugID)
-	}
-	return db
 }

@@ -191,12 +191,13 @@ func assertSameGroups(t *testing.T, a, b *Stats) {
 	}
 }
 
-// TestScratchStatesCrossCheck is the campaign-level acceptance gate for the
-// incremental crash-state engine: the default (rolling-cursor) construction
-// and the from-scratch cross-check mode must agree on every verdict and bug
-// group, state for state, while the incremental engine replays strictly
-// fewer writes. Both workload families run through it.
-func TestScratchStatesCrossCheck(t *testing.T) {
+// TestResultsIndependentOfWorkerCount pins scheduling independence: the
+// single-flight verdict cache makes every counter a function of the
+// configuration alone, so one worker and four workers must agree not just
+// on verdicts but on how each state's verdict was obtained — checked once
+// per distinct key, reused from the disk or tree tier, or class-skipped.
+// Both workload families and all three sweep kinds run through it.
+func TestResultsIndependentOfWorkerCount(t *testing.T) {
 	scenarios := []struct {
 		name string
 		fs   string
@@ -206,7 +207,10 @@ func TestScratchStatesCrossCheck(t *testing.T) {
 			Bounds:      linkBounds(workload.OpCreat, workload.OpRename),
 			SampleEvery: 3, MaxWorkloads: 4000, Reorder: 1,
 		}},
-		{"kv-seq1-reorder1", "fscqsim", Config{KV: kvBounds(t, "kv-seq1"), Reorder: 1}},
+		{"kv-seq1-reorder1-corrupt", "fscqsim", Config{
+			KV: kvBounds(t, "kv-seq1"), Reorder: 1,
+			Faults: blockdev.FaultModel{Kinds: []blockdev.FaultKind{blockdev.FaultCorrupt}},
+		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -214,43 +218,37 @@ func TestScratchStatesCrossCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := sc.cfg
-			cfg.FS = fs
-			inc, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			run := func(workers int) *Stats {
+				cfg := sc.cfg
+				cfg.FS, cfg.Workers = fs, workers
+				s, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
 			}
-			scratchCfg := cfg
-			scratchCfg.ScratchStates = true
-			scratch, err := Run(scratchCfg)
-			if err != nil {
-				t.Fatal(err)
+			one, four := run(1), run(4)
+			assertSameVerdicts(t, one, four)
+			if one.StatesChecked != four.StatesChecked || one.StatesPruned != four.StatesPruned ||
+				one.PrunedDisk != four.PrunedDisk || one.PrunedTree != four.PrunedTree {
+				t.Fatalf("checkpoint split diverged: checked/pruned/disk/tree %d/%d/%d/%d vs %d/%d/%d/%d",
+					one.StatesChecked, one.StatesPruned, one.PrunedDisk, one.PrunedTree,
+					four.StatesChecked, four.StatesPruned, four.PrunedDisk, four.PrunedTree)
 			}
-
-			if inc.StatesTotal != scratch.StatesTotal || inc.ReorderStates != scratch.ReorderStates {
-				t.Fatalf("modes constructed different state counts: %d/%d vs %d/%d",
-					inc.StatesTotal, inc.ReorderStates, scratch.StatesTotal, scratch.ReorderStates)
+			if one.ReorderChecked != four.ReorderChecked ||
+				one.ReorderPruned+one.ReorderClassSkipped != four.ReorderPruned+four.ReorderClassSkipped {
+				t.Fatalf("reorder split diverged: checked/reused %d/%d vs %d/%d",
+					one.ReorderChecked, one.ReorderPruned+one.ReorderClassSkipped,
+					four.ReorderChecked, four.ReorderPruned+four.ReorderClassSkipped)
 			}
-			// Identical fingerprints imply an identical prune split, not just
-			// identical verdicts: any divergence in the incremental hashes would
-			// surface here as a changed checked/pruned ratio.
-			if inc.StatesChecked != scratch.StatesChecked || inc.StatesPruned != scratch.StatesPruned {
-				t.Fatalf("prune split diverged: %d/%d vs %d/%d — incremental fingerprints differ from scratch",
-					inc.StatesChecked, inc.StatesPruned, scratch.StatesChecked, scratch.StatesPruned)
+			for i, fo := range one.FaultKinds {
+				if ff := four.FaultKinds[i]; fo.Checked != ff.Checked {
+					t.Fatalf("%s fault checks diverged: %d vs %d", fo.Kind, fo.Checked, ff.Checked)
+				}
 			}
-			if inc.Failed != scratch.Failed || inc.ReorderBroken != scratch.ReorderBroken {
-				t.Fatalf("verdicts diverged: %d/%d failing vs %d/%d",
-					inc.Failed, inc.ReorderBroken, scratch.Failed, scratch.ReorderBroken)
+			if one.StatesChecked == 0 || one.ReorderChecked == 0 {
+				t.Fatalf("scenario checked nothing: %+v", one)
 			}
-			assertSameVerdicts(t, inc, scratch)
-			if inc.ReplayedWrites >= scratch.ReplayedWrites {
-				t.Fatalf("incremental engine replayed %d writes, scratch %d — no savings",
-					inc.ReplayedWrites, scratch.ReplayedWrites)
-			}
-			t.Logf("replayed %d writes incrementally vs %d from scratch (%.1fx) over %d states",
-				inc.ReplayedWrites, scratch.ReplayedWrites,
-				float64(scratch.ReplayedWrites)/float64(inc.ReplayedWrites),
-				inc.StatesTotal+inc.ReorderStates)
 		})
 	}
 }
@@ -375,10 +373,10 @@ func assertSameVerdicts(t *testing.T, a, b *Stats) {
 
 // TestClassPruneMatchesUnpruned is the verdict-equality gate for the
 // enumeration-time class-prune hoist on every registered backend: with
-// NoClassPrune every novel crash state is constructed before the verdict
-// cache is consulted, so any divergence in verdicts, bug groups, KV oracle
-// classes, or space sizes means the hoisted fingerprint classified a state
-// the constructed path would have judged differently.
+// NoPrune there is no verdict cache at all, so every crash state is
+// constructed and judged afresh, and any divergence in verdicts, bug
+// groups, KV oracle classes, or space sizes means the hoisted fingerprint
+// classified a state the constructed path would have judged differently.
 func TestClassPruneMatchesUnpruned(t *testing.T) {
 	scenarios := []struct {
 		name string
@@ -413,17 +411,17 @@ func TestClassPruneMatchesUnpruned(t *testing.T) {
 					t.Fatalf("the hoist class-skipped no reorder states of %d", hoisted.ReorderStates)
 				}
 				off := base
-				off.NoClassPrune = true
+				off.NoPrune = true
 				plain, err := Run(off)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if plain.ReorderClassSkipped != 0 {
-					t.Fatalf("NoClassPrune still skipped %d reorder states", plain.ReorderClassSkipped)
+					t.Fatalf("NoPrune still skipped %d reorder states", plain.ReorderClassSkipped)
 				}
 				for _, fk := range plain.FaultKinds {
 					if fk.ClassSkipped != 0 {
-						t.Fatalf("NoClassPrune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
+						t.Fatalf("NoPrune still skipped %d %s fault states", fk.ClassSkipped, fk.Kind)
 					}
 				}
 				assertSameVerdicts(t, hoisted, plain)
@@ -908,7 +906,8 @@ func TestKnownDBSplitsGroups(t *testing.T) {
 	for _, g := range stats.Groups {
 		db.Add(g.Key.Skeleton, g.Key.Consequence, "seeded")
 	}
-	again, err := Run(Config{FS: fs, Bounds: ace.Default(1), KnownDB: db})
+	again, err := Run(Config{FS: fs, Bounds: ace.Default(1),
+		KnownDBFor: func(string) *report.KnownDB { return db }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1003,9 +1002,9 @@ func shardedMergeVsUnsharded(t *testing.T, cfg Config, fss []filesys.FileSystem,
 		}
 		// Replayed writes are shard-stable only when class pruning is off:
 		// a class hit skips state construction entirely, and which states
-		// hit depends on the per-process cache contents. With NoClassPrune
-		// (or NoPrune) every state is constructed and the counter is exact.
-		if cfg.NoPrune || cfg.NoClassPrune {
+		// hit depends on the per-process cache contents. With NoPrune every
+		// state is constructed and the counter is exact.
+		if cfg.NoPrune {
 			if got.ReplayedWrites != want.ReplayedWrites {
 				t.Fatalf("%s: merged replay counter %d, unsharded %d",
 					want.FSName, got.ReplayedWrites, want.ReplayedWrites)
@@ -1090,12 +1089,12 @@ func TestShardUnionMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// NoClassPrune here on purpose: it restores the exact replay-counter
+	// NoPrune here on purpose: it restores the exact replay-counter
 	// equality the helper can then assert (every state constructed).
 	sampled := Config{
-		Bounds:       linkBounds(workload.OpCreat, workload.OpLink),
-		SampleEvery:  4,
-		NoClassPrune: true,
+		Bounds:      linkBounds(workload.OpCreat, workload.OpLink),
+		SampleEvery: 4,
+		NoPrune:     true,
 	}
 	merged = shardedMergeVsUnsharded(t, sampled, []filesys.FileSystem{fs}, 2)
 	if row := merged.ByFS("logfs"); row.Stats.Failed == 0 {

@@ -36,20 +36,6 @@ type Monkey struct {
 	// The cache may be shared between Monkeys driving the same file-system
 	// configuration (see prune.go).
 	Prune *PruneCache
-	// ScratchStates restores the from-scratch crash-state construction
-	// path: a fresh snapshot plus a full log-prefix replay (and an
-	// overlay-scan fingerprint) per state, instead of the rolling
-	// ReplayCursor. It is the cross-check mode for the incremental engine —
-	// identical fingerprints and verdicts, strictly more replayed writes
-	// (docs/TESTING.md). Scratch mode also implies NoClassPrune: the
-	// reference engine constructs every state.
-	ScratchStates bool
-	// NoClassPrune disables enumeration-time class pruning: every crash
-	// state is constructed even when its fingerprint was already judged,
-	// and verdict reuse falls back to the post-construction disk-tier
-	// lookup. Cross-check mode — identical verdicts, strictly more
-	// constructed states.
-	NoClassPrune bool
 	// Meter, when non-nil, counts block-level construction and read IO
 	// (writes replayed, blocks read, buffer bytes allocated).
 	Meter *blockdev.BlockMeter
@@ -72,10 +58,9 @@ type Profile struct {
 	// DirtyBytes is the COW overlay footprint after the workload (§6.5).
 	DirtyBytes int64
 
-	// cursor is the rolling replay cursor the incremental construction
-	// path advances through the log; created on first use, guarded by
-	// cursorMu. TestCheckpoint calls on one Profile must not run
-	// concurrently in the default incremental mode: forks read through the
+	// cursor is the rolling replay cursor checkpoint states are built
+	// from; created on first use, guarded by cursorMu. TestCheckpoint calls
+	// on one Profile must not run concurrently: forks read through the
 	// rolling snapshot, which a concurrent seek would be mutating. Every
 	// caller (Run, RunAll, the campaign workers) tests a profile from a
 	// single goroutine.
@@ -83,33 +68,17 @@ type Profile struct {
 	cursor   *blockdev.ReplayCursor
 }
 
-// state constructs the crash state for checkpoint cp: in the default
-// incremental mode it advances the rolling cursor and hands out a COW fork
-// (recovery writes land in the fork, never the rolling base); in scratch
-// mode it replays the whole log prefix onto a fresh snapshot. Returns the
-// state device and the number of writes replayed to build it.
+// state constructs the crash state for checkpoint cp: it advances the
+// rolling cursor and hands out a COW fork (recovery writes land in the
+// fork, never the rolling base). Returns the fork and the number of writes
+// replayed to build it.
 //
 // classified, when non-nil, is consulted with the state's fingerprint after
-// the (incremental) seek but before the fork: returning true means the
-// caller already knows the verdict for that fingerprint, and state returns
-// a nil snapshot without constructing anything. Scratch mode ignores it —
-// the cross-check engine always constructs.
-func (p *Profile) state(cp int, scratch bool, meter *blockdev.BlockMeter,
+// the seek but before the fork: returning true means the caller already
+// knows the verdict for that fingerprint, and state returns a nil snapshot
+// without constructing anything.
+func (p *Profile) state(cp int, meter *blockdev.BlockMeter,
 	classified func(fp uint64) bool) (*blockdev.Snapshot, int64, error) {
-	if scratch {
-		crash := blockdev.NewSnapshot(p.base)
-		// Meter the scratch engine too, or the -v cross-check comparison
-		// would show zero read/alloc traffic against the incremental rows.
-		crash.SetMeter(meter)
-		n, err := blockdev.ReplayToCheckpoint(crash, p.rec.Log(), cp)
-		if err != nil {
-			return nil, n, err
-		}
-		if meter != nil {
-			meter.BlocksReplayed.Add(n)
-		}
-		return crash, n, nil
-	}
 	p.cursorMu.Lock()
 	defer p.cursorMu.Unlock()
 	if p.cursor == nil {
@@ -190,8 +159,8 @@ type Result struct {
 	ReplayDur    time.Duration
 	CheckDur     time.Duration
 	// ReplayedWrites is the number of recorded writes replayed to construct
-	// this crash state. The incremental cursor replays only the delta since
-	// the previous checkpoint; the scratch path replays the whole prefix.
+	// this crash state: the cursor replays only the delta since the
+	// previous checkpoint.
 	ReplayedWrites int64
 	// StateHash is the dirty-block fingerprint of the crash state (set
 	// only when pruning is enabled).
@@ -306,17 +275,32 @@ func (mk *Monkey) ProfileWorkload(w *workload.Workload) (*Profile, error) {
 // TestCheckpoint constructs the crash state for checkpoint cp (1-based),
 // mounts it (running recovery), and checks consistency.
 func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
-	if cp < 1 || cp > len(p.expectations) {
-		return nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, len(p.expectations))
-	}
-	exp := p.expectations[cp-1]
-	cv, err := mk.judgeCheckpoint(p, cp, exp.Fingerprint()^mk.pruneSalt(),
-		func(crash *blockdev.Snapshot, oracle uint64) (*cachedVerdict, string, error) {
-			return mk.checkState(crash, exp, oracle)
-		})
+	oracle, check, err := mk.checkpointCheck(p, cp)
 	if err != nil {
 		return nil, err
 	}
+	cv, err := mk.judgeCheckpoint(p, cp, oracle, check)
+	if err != nil {
+		return nil, err
+	}
+	return mk.result(p, cp, cv), nil
+}
+
+// checkpointCheck returns the oracle salt and the file-level check of
+// checkpoint cp.
+func (mk *Monkey) checkpointCheck(p *Profile, cp int) (uint64, checkFunc, error) {
+	if cp < 1 || cp > len(p.expectations) {
+		return 0, nil, fmt.Errorf("crashmonkey: checkpoint %d out of range (1..%d)", cp, len(p.expectations))
+	}
+	exp := p.expectations[cp-1]
+	oracle := exp.Fingerprint() ^ mk.pruneSalt()
+	return oracle, func(crash *blockdev.Snapshot) (*cachedVerdict, string, error) {
+		return mk.checkState(crash, exp, oracle)
+	}, nil
+}
+
+// result renders the Result of checkpoint cp from its verdict.
+func (mk *Monkey) result(p *Profile, cp int, cv checkpointVerdict) *Result {
 	return &Result{
 		Workload:       p.Workload,
 		FSName:         mk.FS.Name(),
@@ -331,7 +315,7 @@ func (mk *Monkey) TestCheckpoint(p *Profile, cp int) (*Result, error) {
 		StateHash:      cv.stateHash,
 		Pruned:         cv.prunedBy != "",
 		PrunedBy:       cv.prunedBy,
-	}, nil
+	}
 }
 
 // checkState renders the file-level verdict of one constructed crash state:

@@ -13,7 +13,7 @@ import (
 	"b3/internal/workload"
 )
 
-func mustParse(t *testing.T, id, text string) *workload.Workload {
+func mustParse(t testing.TB, id, text string) *workload.Workload {
 	t.Helper()
 	w, err := workload.Parse(id, text)
 	if err != nil {

@@ -14,6 +14,9 @@ import (
 // per-state sequence (class-prune hoist, single-flight disk-tier lookup,
 // judge, store, tally); a space picks the states and a judge supplies the
 // oracle, so the families differ only in their judge and their counters.
+// The from-scratch reference the tests compare against builds each state
+// its own way but judges it through the same per-state step (sweepState,
+// judgeState).
 
 // space selects one crash-state space of a profiled run: the
 // bounded-reordering states at bound k, or one fault kind's states at
@@ -73,126 +76,106 @@ func (s sweepStats) intoFault(r *FaultKindReport) {
 	r.ReplayedWrites = s.replayed
 }
 
-// sweep explores one crash-state space of p under judge j. The default
-// engine constructs states incrementally through the pruned enumerators,
-// tallying a state whose predicted fingerprint already has a verdict
-// without building it; Monkey.ScratchStates selects the reference engine,
-// which builds every state on a fresh snapshot and never class-prunes.
-// Skipped states still count toward States and are tallied with their own
-// descriptor, so a report is identical in every mode.
+// sweep explores one crash-state space of p under judge j. States are built
+// incrementally by the blockdev enumerators; with a prune cache, a state
+// whose predicted fingerprint already has a verdict is tallied with that
+// verdict and its own descriptor without being built, so it still counts
+// toward States.
 func (mk *Monkey) sweep(p *Profile, sp space, j judge) (sweepStats, error) {
 	var s sweepStats
-	key := func(epoch int, fp uint64) stateKey {
-		return stateKey{state: fp, oracle: j.salt(epoch)}
-	}
-	// seen is the class-prune hoist.
-	seen := func(epoch int, desc string, fp uint64) bool {
-		v, ok := mk.Prune.classify(key(epoch, fp))
-		if ok {
-			s.states++
-			s.classSkipped++
-			j.tally(epoch, desc, v)
-		}
-		return ok
-	}
-	// visit judges one constructed state: disk-tier lookup, judge, store,
-	// tally. A failure stops the sweep and is returned.
 	var judgeErr error
 	visit := func(epoch int, desc string, crash *blockdev.Snapshot) bool {
-		s.states++
-		var k stateKey
-		if mk.Prune != nil {
-			k = key(epoch, crash.Fingerprint())
-			if v, ok := mk.Prune.lookupDisk(k); ok {
-				s.pruned++
+		judgeErr = mk.sweepState(&s, j, epoch, desc, crash)
+		return judgeErr == nil
+	}
+	// seen is the class-prune hoist.
+	var seen func(epoch int, desc string, fp uint64) bool
+	if mk.Prune != nil {
+		seen = func(epoch int, desc string, fp uint64) bool {
+			v, ok := mk.Prune.classify(stateKey{state: fp, oracle: j.salt(epoch)})
+			if ok {
+				s.states++
+				s.classSkipped++
 				j.tally(epoch, desc, v)
-				return true
 			}
+			return ok
 		}
-		s.checked++
-		v, err := j.recover(crash, epoch)
-		if err != nil {
-			if mk.Prune != nil {
-				mk.Prune.abandonDisk(k)
-			}
-			judgeErr = err
-			return false
-		}
-		if mk.Prune != nil {
-			mk.Prune.misses.Add(1)
-			mk.Prune.storeDisk(k, v)
-		}
-		j.tally(epoch, desc, v)
-		return true
 	}
 
 	log := p.rec.Log()
+	var stats blockdev.EnumStats
 	var err error
-	if mk.ScratchStates {
-		epochs := blockdev.Epochs(log)
-		// scratch builds one state from a fresh snapshot, replaying every
-		// prior epoch plus the inFlight writes of its own.
-		scratch := func(epoch int, desc string, inFlight int64, apply func(blockdev.Device) error) bool {
-			crash := blockdev.NewSnapshot(p.base)
-			crash.SetMeter(mk.Meter)
-			if judgeErr = apply(crash); judgeErr != nil {
-				return false
-			}
-			s.replayed += priorEpochWrites(epochs, epoch) + inFlight
-			return visit(epoch, desc, crash)
+	if sp.fault {
+		var opts blockdev.FaultEnumOpts
+		if seen != nil {
+			opts.Seen = func(st blockdev.FaultState, fp uint64) bool { return seen(st.Epoch, st.Desc, fp) }
 		}
-		if sp.fault {
-			err = blockdev.ForEachFaultState(log, sp.kind, sp.sector,
-				func(st blockdev.FaultState, apply func(blockdev.Device) error) bool {
-					inFlight := int64(st.Applied)
-					if st.Write >= 0 && st.Kind != blockdev.FaultMisdirect {
-						inFlight++ // the torn or corrupting write itself
-					}
-					return scratch(st.Epoch, st.Desc, inFlight, apply)
-				})
-		} else {
-			blockdev.ForEachReorderState(log, sp.k,
-				func(st blockdev.ReorderState, apply func(blockdev.Device) error) bool {
-					return scratch(st.Epoch, st.Desc, int64(st.Applied-len(st.Dropped)), apply)
-				})
-		}
-		if mk.Meter != nil {
-			mk.Meter.BlocksReplayed.Add(s.replayed)
-		}
+		stats, err = blockdev.ForEachFaultState(p.base, log, sp.kind, sp.sector, opts, mk.Meter,
+			func(st blockdev.FaultState, crash *blockdev.Snapshot) bool { return visit(st.Epoch, st.Desc, crash) })
 	} else {
-		classPrune := mk.Prune != nil && !mk.NoClassPrune
-		var stats blockdev.EnumStats
-		if sp.fault {
-			var opts blockdev.FaultEnumOpts
-			if classPrune {
-				opts.Seen = func(st blockdev.FaultState, fp uint64) bool { return seen(st.Epoch, st.Desc, fp) }
-			}
-			stats, err = blockdev.ForEachFaultStatePruned(p.base, log, sp.kind, sp.sector, opts, mk.Meter,
-				func(st blockdev.FaultState, crash *blockdev.Snapshot) bool { return visit(st.Epoch, st.Desc, crash) })
-		} else {
-			var opts blockdev.ReorderEnumOpts
-			if classPrune {
-				opts.Seen = func(st blockdev.ReorderState, fp uint64) bool { return seen(st.Epoch, st.Desc, fp) }
-			}
-			stats, err = blockdev.ForEachReorderStatePruned(p.base, log, sp.k, opts, mk.Meter,
-				func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool { return visit(st.Epoch, st.Desc, crash) })
+		var opts blockdev.ReorderEnumOpts
+		if seen != nil {
+			opts.Seen = func(st blockdev.ReorderState, fp uint64) bool { return seen(st.Epoch, st.Desc, fp) }
 		}
-		s.replayed = stats.Replayed
+		stats, err = blockdev.ForEachReorderState(p.base, log, sp.k, opts, mk.Meter,
+			func(st blockdev.ReorderState, crash *blockdev.Snapshot) bool { return visit(st.Epoch, st.Desc, crash) })
 	}
+	s.replayed = stats.Replayed
 	if judgeErr != nil {
 		return s, judgeErr
 	}
 	return s, err
 }
 
-// priorEpochWrites is the number of writes of the epochs before epoch: what
-// the reference engine replays ahead of every state in flight during it.
-func priorEpochWrites(epochs []blockdev.Epoch, epoch int) int64 {
-	var n int64
-	for e := 0; e < epoch && e < len(epochs); e++ {
-		n += int64(len(epochs[e].Writes))
+// sweepState is the per-state step of a sweep: judge one constructed state
+// of the epoch in flight and tally its verdict into s.
+func (mk *Monkey) sweepState(s *sweepStats, j judge, epoch int, desc string, crash *blockdev.Snapshot) error {
+	s.states++
+	v, _, prunedBy, err := mk.judgeState(crash, j.salt(epoch),
+		func(crash *blockdev.Snapshot) (*cachedVerdict, string, error) {
+			s.checked++
+			v, err := j.recover(crash, epoch)
+			return v, "", err
+		})
+	if err != nil {
+		return err
 	}
-	return n
+	if prunedBy != "" {
+		s.pruned++
+	}
+	j.tally(epoch, desc, v)
+	return nil
+}
+
+// checkFunc renders a fresh verdict of one constructed crash state and
+// reports "tree" when it reused a tree-tier verdict instead.
+type checkFunc func(crash *blockdev.Snapshot) (*cachedVerdict, string, error)
+
+// judgeState renders the verdict of one constructed crash state: the
+// single-flight disk-tier lookup, then on a miss a fresh verdict from check
+// and its store (or, on error, the abandoned claim). It returns the state's
+// disk fingerprint (0 without a prune cache) and prunedBy: "disk" for a
+// disk-tier hit, else what check reported ("tree" when it reused a
+// tree-tier verdict).
+func (mk *Monkey) judgeState(crash *blockdev.Snapshot, oracle uint64, check checkFunc) (*cachedVerdict, uint64, string, error) {
+	if mk.Prune == nil {
+		v, prunedBy, err := check(crash)
+		return v, 0, prunedBy, err
+	}
+	k := stateKey{state: crash.Fingerprint(), oracle: oracle}
+	if v, ok := mk.Prune.lookupDisk(k); ok {
+		return v, k.state, "disk", nil
+	}
+	v, prunedBy, err := check(crash)
+	if err != nil {
+		mk.Prune.abandonDisk(k)
+		return nil, k.state, "", err
+	}
+	if prunedBy == "" {
+		mk.Prune.misses.Add(1)
+	}
+	mk.Prune.storeDisk(k, v)
+	return v, k.state, prunedBy, nil
 }
 
 // checkpointVerdict is the family-neutral outcome of one checkpoint test.
@@ -208,35 +191,28 @@ type checkpointVerdict struct {
 }
 
 // judgeCheckpoint is the checkpoint path of both families: the class-prune
-// hoist inside Profile.state, the single-flight disk-tier lookup, the
-// verdict, and the store. oracle is the checkpoint's full oracle salt;
-// check renders a fresh verdict and reports "tree" when it reused a
-// tree-tier verdict.
-func (mk *Monkey) judgeCheckpoint(p *Profile, cp int, oracle uint64,
-	check func(crash *blockdev.Snapshot, oracle uint64) (*cachedVerdict, string, error)) (checkpointVerdict, error) {
-
+// hoist inside Profile.state, then judgeState on the constructed fork.
+// oracle is the checkpoint's full oracle salt.
+func (mk *Monkey) judgeCheckpoint(p *Profile, cp int, oracle uint64, check checkFunc) (checkpointVerdict, error) {
 	var out checkpointVerdict
-	var key stateKey
-	haveKey := false
 	var classified func(fp uint64) bool
-	if mk.Prune != nil && !mk.NoClassPrune {
-		// The incremental cursor's fingerprint is O(1) after the seek, so a
-		// state whose class was already judged is never forked at all.
+	if mk.Prune != nil {
+		// The cursor's fingerprint is O(1) after the seek, so a state whose
+		// class was already judged is never forked at all.
 		classified = func(fp uint64) bool {
-			key, haveKey = stateKey{state: fp, oracle: oracle}, true
-			v, ok := mk.Prune.classify(key)
+			out.stateHash = fp
+			v, ok := mk.Prune.classify(stateKey{state: fp, oracle: oracle})
 			out.v = v
 			return ok
 		}
 	}
 
 	start := time.Now()
-	crash, replayed, err := p.state(cp, mk.ScratchStates, mk.Meter, classified)
+	crash, replayed, err := p.state(cp, mk.Meter, classified)
 	if err != nil {
 		return out, fmt.Errorf("crashmonkey: replay: %w", err)
 	}
 	out.replayed, out.replayDur = replayed, time.Since(start)
-	out.stateHash = key.state
 	if crash == nil {
 		// The hoisted lookup hit: reported as a disk-tier prune — the
 		// verdict source is the same cache line; only construction was saved.
@@ -246,33 +222,11 @@ func (mk *Monkey) judgeCheckpoint(p *Profile, cp int, oracle uint64,
 	// Forks hold only recovery/checker writes; hand their buffers back to
 	// the pool once the verdict is composed.
 	defer crash.Release()
-
-	if mk.Prune != nil {
-		if !haveKey {
-			key = stateKey{state: crash.Fingerprint(), oracle: oracle}
-			out.stateHash = key.state
-		}
-		if v, ok := mk.Prune.lookupDisk(key); ok {
-			out.v, out.prunedBy = v, "disk"
-			return out, nil
-		}
-	}
-
-	start = time.Now()
-	v, prunedBy, err := check(crash, oracle)
-	out.checkDur = time.Since(start)
-	if err != nil {
-		if mk.Prune != nil {
-			mk.Prune.abandonDisk(key)
-		}
-		return out, err
-	}
-	out.v, out.prunedBy = v, prunedBy
-	if mk.Prune != nil {
-		if prunedBy == "" {
-			mk.Prune.misses.Add(1)
-		}
-		mk.Prune.storeDisk(key, v)
-	}
-	return out, nil
+	out.v, out.stateHash, out.prunedBy, err = mk.judgeState(crash, oracle,
+		func(crash *blockdev.Snapshot) (*cachedVerdict, string, error) {
+			start := time.Now()
+			defer func() { out.checkDur = time.Since(start) }()
+			return check(crash)
+		})
+	return out, err
 }

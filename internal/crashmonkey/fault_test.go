@@ -92,7 +92,6 @@ func TestFaultExplorationIsDeterministic(t *testing.T) {
 	for _, fs := range faultBackends() {
 		run := func(scratch, prune bool) *FaultReport {
 			mk := fs.mk()
-			mk.ScratchStates = scratch
 			if prune {
 				mk.Prune = NewPruneCache()
 			}
@@ -100,7 +99,11 @@ func TestFaultExplorationIsDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", fs.name, err)
 			}
-			report, err := mk.ExploreFaults(p, allFaults)
+			explore := mk.ExploreFaults
+			if scratch {
+				explore = reference{mk}.ExploreFaults
+			}
+			report, err := explore(p, allFaults)
 			if err != nil {
 				t.Fatalf("%s: %v", fs.name, err)
 			}

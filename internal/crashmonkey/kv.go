@@ -284,21 +284,36 @@ func (mk *Monkey) recoverKVState(crash blockdev.Device, exp *kvoracle.Expectatio
 // mounts it, runs the application's recovery, and checks the store contents
 // against the interval oracle.
 func (mk *Monkey) TestKVCheckpoint(kp *KVProfile, cp int) (*KVResult, error) {
+	oracle, check, err := mk.kvCheckpointCheck(kp, cp)
+	if err != nil {
+		return nil, err
+	}
+	cv, err := mk.judgeCheckpoint(kp.prof, cp, oracle, check)
+	if err != nil {
+		return nil, err
+	}
+	return mk.kvResult(kp, cp, cv), nil
+}
+
+// kvCheckpointCheck returns the oracle salt and the application-level check
+// of checkpoint cp.
+func (mk *Monkey) kvCheckpointCheck(kp *KVProfile, cp int) (uint64, checkFunc, error) {
 	if cp < 1 || cp >= len(kp.exps) {
-		return nil, fmt.Errorf("crashmonkey: kv checkpoint %d out of range (1..%d)", cp, len(kp.exps)-1)
+		return 0, nil, fmt.Errorf("crashmonkey: kv checkpoint %d out of range (1..%d)", cp, len(kp.exps)-1)
 	}
 	exp := kp.exps[cp]
-	cv, err := mk.judgeCheckpoint(kp.prof, cp, exp.Fingerprint()^mk.pruneSalt()^kvOracleSalt,
-		func(crash *blockdev.Snapshot, _ uint64) (*cachedVerdict, string, error) {
+	return exp.Fingerprint() ^ mk.pruneSalt() ^ kvOracleSalt,
+		func(crash *blockdev.Snapshot) (*cachedVerdict, string, error) {
 			v, err := mk.recoverKVState(crash, exp)
 			if err != nil {
 				return nil, "", fmt.Errorf("crashmonkey: kv recover: %w", err)
 			}
 			return v, "", nil
-		})
-	if err != nil {
-		return nil, err
-	}
+		}, nil
+}
+
+// kvResult renders the KVResult of checkpoint cp from its verdict.
+func (mk *Monkey) kvResult(kp *KVProfile, cp int, cv checkpointVerdict) *KVResult {
 	return &KVResult{
 		Workload:       kp.Workload,
 		FSName:         mk.FS.Name(),
@@ -314,7 +329,7 @@ func (mk *Monkey) TestKVCheckpoint(kp *KVProfile, cp int) (*KVResult, error) {
 		StateHash:      cv.stateHash,
 		Pruned:         cv.prunedBy != "",
 		PrunedBy:       cv.prunedBy,
-	}, nil
+	}
 }
 
 // RunKV profiles the KV workload and tests its final crash state (the §5.3

@@ -42,20 +42,6 @@ type stateKey struct {
 	oracle uint64
 }
 
-// ClassIndex is the enumeration-time face of the disk tier: the pruned
-// blockdev enumerators hand every state's fingerprint to a Seen callback
-// *before* constructing the state, and the callback consults a ClassIndex —
-// a fingerprint already classified means the state is never forked, never
-// replayed, never mounted. PruneCache implements it over its disk tier, so
-// the same verdict entries serve both the post-construction lookups and the
-// enumeration-time skips. The interface is sealed (unexported method): the
-// verdict representation stays private to this package.
-type ClassIndex interface {
-	// classify returns the cached verdict for a (state, oracle) fingerprint
-	// pair, counting the hit as a class skip rather than a disk hit.
-	classify(k stateKey) (*cachedVerdict, bool)
-}
-
 // cachedVerdict is the reusable outcome of one fully checked crash state.
 type cachedVerdict struct {
 	mountable    bool
@@ -69,8 +55,8 @@ type PruneStats struct {
 	// DiskHits counts states skipped entirely (identical disk contents).
 	DiskHits int64
 	// ClassHits counts states skipped before construction: the enumerator
-	// classified the fingerprint through the ClassIndex, so the state was
-	// never forked or replayed, let alone checked.
+	// handed the state's fingerprint to classify, so the state was never
+	// forked or replayed, let alone checked.
 	ClassHits int64
 	// TreeHits counts states whose recovery ran but whose oracle checks
 	// were skipped (identical recovered tree).
@@ -269,8 +255,9 @@ func (c *PruneCache) lookupDisk(k stateKey) (*cachedVerdict, bool) {
 	return v, ok
 }
 
-// classify implements ClassIndex: a non-blocking disk-tier lookup counted
-// as an enumeration-time class skip. A key still in flight reads as a miss;
+// classify is the enumeration-time face of the disk tier: a non-blocking
+// lookup of a state's predicted fingerprint, made before the state is
+// constructed and counted as a class skip. A key still in flight reads as a miss;
 // the state is then constructed and its lookupDisk waits for the verdict.
 func (c *PruneCache) classify(k stateKey) (*cachedVerdict, bool) {
 	c.mu.Lock()

@@ -60,8 +60,7 @@ type ReorderReport struct {
 	Pruned  int
 	// ClassSkipped counts states never constructed at all: the enumerator's
 	// O(1) delta fingerprint matched an already-judged class, and the cached
-	// verdict was tallied directly (Monkey.NoClassPrune restores
-	// construction).
+	// verdict was tallied directly.
 	ClassSkipped int
 	// CommuteSkipped is always zero: commutativity pruning was removed after
 	// it measured zero yield on every backend. The field is kept for the
@@ -75,9 +74,8 @@ type ReorderReport struct {
 	// the core-mechanism assumption.
 	Broken []string
 	// ReplayedWrites is the metered number of recorded writes replayed to
-	// construct the sweep's states. The incremental engine replays each
-	// epoch once per sweep plus the in-flight deltas; the scratch engine
-	// re-replays every prior epoch for every state.
+	// construct the sweep's states: each epoch once per sweep plus the
+	// in-flight deltas.
 	ReplayedWrites int64
 	// PerEpoch is the accounting per IO epoch, in stream order.
 	PerEpoch []ReorderEpoch

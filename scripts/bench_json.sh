@@ -14,9 +14,11 @@ set -eu
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_construct.json}"
 
+# The engine-comparison benchmarks (incremental vs the from-scratch
+# reference) live in internal/crashmonkey; the campaign ones at the root.
 go test -run '^$' \
   -bench 'BenchmarkCrashMonkeyConstructCrashState|BenchmarkAblationReorderExploration|BenchmarkAblationFaultExploration|BenchmarkTable4Seq1$|BenchmarkCampaignReorderK[12]$' \
-  -benchtime 1x -benchmem . |
+  -benchtime 1x -benchmem ./internal/crashmonkey . |
   go run ./cmd/benchjson >"$out"
 
 echo "wrote $out:" >&2
